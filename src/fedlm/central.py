@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cifg import CifgModel, flatten, loss_and_grads, unflatten
+from .cifg import CifgModel, loss_and_grads
 from .corpus import CorpusSplit, is_trainable
 from .evaluate import MetricsRow, multi_k_stats
 from .nn_core import rng_for, sgd_step
@@ -58,8 +58,6 @@ def train_centralized(model: CifgModel, data: CorpusSplit, config: CentralConfig
         raise ValueError("train split is empty")
 
     t0 = time.perf_counter()
-    params = flatten(model)
-    cfg_model = model.config
 
     top1, top3 = _eval_recalls(model, data.eval)
     rows = [
@@ -86,8 +84,7 @@ def train_centralized(model: CifgModel, data: CorpusSplit, config: CentralConfig
         loss, grads = loss_and_grads(current, batch)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss at step {step}")
-        params = sgd_step(params, flatten(grads), config.lr)
-        current = unflatten(cfg_model, params)
+        current = CifgModel(model.config, sgd_step(current.params, grads.params, config.lr))
         examples_seen += len(batch)
         window_losses.append(loss)
 

@@ -24,8 +24,11 @@ nn_core is the oracle they are tested against.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,29 +70,30 @@ def param_count(config: CifgConfig) -> int:
     return V * D + 3 * (2 * H * D + H) + D * H
 
 
-@dataclass
 class CifgModel:
-    config: CifgConfig
-    W: np.ndarray
-    Wi: np.ndarray
-    Ui: np.ndarray
-    bi: np.ndarray
-    Wc: np.ndarray
-    Uc: np.ndarray
-    bc: np.ndarray
-    Wo: np.ndarray
-    Uo: np.ndarray
-    bo: np.ndarray
-    P: np.ndarray
+    """The weights as one contiguous flat vector `params` laid out in
+    TENSOR_ORDER. Each named tensor (W, Wi, Ui, bi, ..., P) is a writable
+    reshaped view of it, so the optimizers step `params` directly and a
+    checkpoint is that vector behind a header."""
+
+    def __init__(self, config: CifgConfig, params: np.ndarray):
+        if params.ndim != 1 or params.size != param_count(config):
+            raise ValueError(f"flat vector has {params.size} entries, expected {param_count(config)}")
+        self.config = config
+        self.params = params
+        shapes = tensor_shapes(config)
+        offset = 0
+        for name in TENSOR_ORDER:
+            size = math.prod(shapes[name])
+            setattr(self, name, params[offset : offset + size].reshape(shapes[name]))
+            offset += size
 
     @property
     def dtype(self):
-        return self.W.dtype
+        return self.params.dtype
 
     def astype(self, dtype) -> "CifgModel":
-        return CifgModel(
-            self.config, **{n: getattr(self, n).astype(dtype) for n in TENSOR_ORDER}
-        )
+        return CifgModel(self.config, self.params.astype(dtype))
 
     # Inference conveniences; evaluation code duck-types on these.
     def predict_topk(self, context, k):
@@ -100,52 +104,22 @@ class CifgModel:
 
 
 def init_model(config: CifgConfig, seed: int, dtype=np.float32) -> CifgModel:
-    tensors = {
-        name: init_uniform(shape, derive_seed(seed, "init", name), dtype=dtype)
-        for name, shape in tensor_shapes(config).items()
-    }
-    return CifgModel(config=config, **tensors)
+    model = CifgModel(config, np.empty(param_count(config), dtype=dtype))
+    for name, shape in tensor_shapes(config).items():
+        getattr(model, name)[...] = init_uniform(shape, derive_seed(seed, "init", name), dtype=dtype)
+    return model
 
 
 def flatten(model: CifgModel) -> np.ndarray:
-    return np.concatenate([getattr(model, n).ravel() for n in TENSOR_ORDER])
+    return model.params
 
 
 def unflatten(config: CifgConfig, vec: np.ndarray) -> CifgModel:
-    shapes = tensor_shapes(config)
-    tensors = {}
-    offset = 0
-    for name in TENSOR_ORDER:
-        shape = shapes[name]
-        size = int(np.prod(shape))
-        tensors[name] = vec[offset : offset + size].reshape(shape).copy()
-        offset += size
-    if offset != vec.size:
-        raise ValueError(f"flat vector has {vec.size} entries, expected {offset}")
-    return CifgModel(config=config, **tensors)
+    return CifgModel(config, vec)
 
 
 # ---------------------------------------------------------------------------
 # Cell
-
-
-@dataclass
-class CellState:
-    """Post-step cell state; gate activations are retained so the coupling
-    f = 1 - i stays observable from outside."""
-
-    c: np.ndarray
-    r: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    h: np.ndarray = field(default=None)
-
-
-def zero_state(config: CifgConfig, dtype=np.float64) -> CellState:
-    H, D = config.H, config.D
-    z = np.zeros
-    return CellState(c=z(H, dtype), r=z(D, dtype), i=z(H, dtype), f=z(H, dtype), o=z(H, dtype), h=z(H, dtype))
 
 
 def _sigmoid(x):
@@ -158,18 +132,39 @@ def _sigmoid(x):
     return out
 
 
-def cell_step(model: CifgModel, x: np.ndarray, prev: CellState) -> CellState:
-    """Single-example recurrent step (batched training uses the internal scan)."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError("numeric overflow")
-    i = _sigmoid(model.Wi @ x + model.Ui @ prev.r + model.bi)
+class Step(NamedTuple):
+    """Activations of one recurrent step over a batch, each (B, H) but r (B, D)."""
+
+    i: np.ndarray
+    f: np.ndarray
+    ctil: np.ndarray
+    c: np.ndarray
+    o: np.ndarray
+    tanh_c: np.ndarray
+    h: np.ndarray
+    r: np.ndarray
+
+
+def input_preactivations(model: CifgModel, X: np.ndarray) -> tuple:
+    """(Wi x + bi, Wc x + bc, Wo x + bo) for embedded inputs X of shape
+    (..., D). They have no recurrent dependency, so the scan computes them
+    for every timestep at once."""
+    return X @ model.Wi.T + model.bi, X @ model.Wc.T + model.bc, X @ model.Wo.T + model.bo
+
+
+def recurrent_step(model: CifgModel, ax: tuple, c_prev: np.ndarray, r_prev: np.ndarray) -> Step:
+    """One step for a batch: ax holds this timestep's input pre-activations
+    (each (B, H)), c_prev is (B, H) and r_prev is (B, D)."""
+    ax_i, ax_c, ax_o = ax
+    i = _sigmoid(ax_i + r_prev @ model.Ui.T)
     f = 1.0 - i
-    ctil = np.tanh(model.Wc @ x + model.Uc @ prev.r + model.bc)
-    c = f * prev.c + i * ctil
-    o = _sigmoid(model.Wo @ x + model.Uo @ prev.r + model.bo)
-    h = o * np.tanh(c)
-    r = model.P @ h
-    return CellState(c=c, r=r, i=i, f=f, o=o, h=h)
+    ctil = np.tanh(ax_c + r_prev @ model.Uc.T)
+    c = f * c_prev + i * ctil
+    o = _sigmoid(ax_o + r_prev @ model.Uo.T)
+    tanh_c = np.tanh(c)
+    h = o * tanh_c
+    r = h @ model.P.T
+    return Step(i, f, ctil, c, o, tanh_c, h, r)
 
 
 # ---------------------------------------------------------------------------
@@ -212,35 +207,23 @@ def _forward_scan(model: CifgModel, inputs: np.ndarray) -> dict:
     H, D = model.config.H, model.config.D
 
     X = model.W.T[inputs.reshape(-1)].reshape(B, T, D)
-    # Input-to-gate projections have no recurrent dependency: do them in one shot.
-    AXi = X @ model.Wi.T + model.bi
-    AXc = X @ model.Wc.T + model.bc
-    AXo = X @ model.Wo.T + model.bo
+    AX = input_preactivations(model, X)
 
     Cs = [np.zeros((B, H), dtype=dtype)]
     Rs = [np.zeros((B, D), dtype=dtype)]
-    Is, Fs, Ctils, Os, TanhCs, Hs = [], [], [], [], [], []
+    Is, Ctils, Os, TanhCs, Hs = [], [], [], [], []
     for t in range(T):
-        r_prev = Rs[t]
-        i = _sigmoid(AXi[:, t, :] + r_prev @ model.Ui.T)
-        f = 1.0 - i
-        ctil = np.tanh(AXc[:, t, :] + r_prev @ model.Uc.T)
-        c = f * Cs[t] + i * ctil
-        o = _sigmoid(AXo[:, t, :] + r_prev @ model.Uo.T)
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        r = h @ model.P.T
-        Cs.append(c)
-        Rs.append(r)
-        Is.append(i)
-        Fs.append(f)
-        Ctils.append(ctil)
-        Os.append(o)
-        TanhCs.append(tanh_c)
-        Hs.append(h)
+        s = recurrent_step(model, [a[:, t, :] for a in AX], Cs[t], Rs[t])
+        Cs.append(s.c)
+        Rs.append(s.r)
+        Is.append(s.i)
+        Ctils.append(s.ctil)
+        Os.append(s.o)
+        TanhCs.append(s.tanh_c)
+        Hs.append(s.h)
     logits = np.stack(Rs[1:], axis=1) @ model.W
     return {
-        "X": X, "Cs": Cs, "Rs": Rs, "Is": Is, "Fs": Fs, "Ctils": Ctils,
+        "X": X, "Cs": Cs, "Rs": Rs, "Is": Is, "Ctils": Ctils,
         "Os": Os, "TanhCs": TanhCs, "Hs": Hs, "logits": logits,
     }
 
@@ -254,16 +237,9 @@ def _log_softmax_stats(logits: np.ndarray) -> tuple:
     return probs, lse
 
 
-def forward(model: CifgModel, seq: list) -> np.ndarray:
-    """Logits for each prediction position of one sequence: row t is the
-    distribution over token t+1 given tokens 0..t. Shape (len-1, V)."""
-    inputs, _, _ = _batch_arrays([seq], model.config.V, model.dtype)
-    return _forward_scan(model, inputs)["logits"][0]
-
-
 def loss_and_grads(model: CifgModel, batch: list) -> tuple:
     """Mean cross-entropy over every prediction position in the batch, and
-    its gradient as a CifgModel-shaped container.
+    its gradient as a CifgModel (one flat vector, like the weights).
 
     The loss is position-weighted (a 7-word sentence contributes 7 terms to
     the same mean as a 2-word sentence's 2), which makes duplicating the
@@ -287,7 +263,8 @@ def loss_and_grads(model: CifgModel, batch: list) -> tuple:
     dlogits = probs * coeff[..., None]
     np.subtract.at(dlogits, (np.arange(B)[:, None], np.arange(T)[None, :], targets), coeff)
 
-    g = {n: np.zeros_like(getattr(model, n)) for n in TENSOR_ORDER}
+    grads = CifgModel(cfg, np.zeros(param_count(cfg), dtype=dtype))
+    g = {n: getattr(grads, n) for n in TENSOR_ORDER}
     dW_embed = np.zeros((V, cfg.D), dtype=dtype)  # scatter buffer, (V, D)
     dc_carry = np.zeros((B, cfg.H), dtype=dtype)
     dr_carry = np.zeros((B, cfg.D), dtype=dtype)
@@ -322,7 +299,7 @@ def loss_and_grads(model: CifgModel, batch: list) -> tuple:
         np.add.at(dW_embed, inputs[:, t], dx)  # embedding path
 
     g["W"] += dW_embed.T
-    return loss, CifgModel(config=cfg, **g)
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +345,8 @@ def topk_candidates(model: CifgModel, seqs: list, k: int, chunk: int = 256) -> l
         inputs, _, _ = _batch_arrays(part, V, model.dtype)
         logits = _forward_scan(model, inputs)["logits"]
         logits[:, :, :NUM_SPECIALS] = -np.inf
-        order = np.argsort(-logits, axis=-1, kind="stable")[:, :, :k]
+        # Copy the top k so each chunk's full (B, T, V) sort is freed.
+        order = np.argsort(-logits, axis=-1, kind="stable")[:, :, :k].copy()
         for b, seq in enumerate(part):
             out.append(order[b, : len(seq) - 1, :])
     return out
@@ -397,9 +375,7 @@ class QuantizedModel:
     zero_points: dict
 
     def serialized_nbytes(self) -> int:
-        header = 4 + 4 + 3 * 4  # magic, version, V/D/H
-        body = sum(8 + codes.size for codes in self.codes.values())  # (scale, zp) + int8 payload
-        return header + body
+        return _HEADER.size + _quantized_payload_nbytes(self.config)
 
 
 def _quantize_tensor(x: np.ndarray) -> tuple:
@@ -427,51 +403,59 @@ def quantize(model: CifgModel) -> QuantizedModel:
 
 
 def dequantize(q: QuantizedModel) -> CifgModel:
-    tensors = {
-        name: ((q.codes[name].astype(np.float32) - q.zero_points[name]) * q.scales[name])
-        for name in TENSOR_ORDER
-    }
-    return CifgModel(config=q.config, **tensors)
+    model = CifgModel(q.config, np.empty(param_count(q.config), dtype=np.float32))
+    for name in TENSOR_ORDER:
+        getattr(model, name)[...] = (q.codes[name].astype(np.float32) - q.zero_points[name]) * q.scales[name]
+    return model
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 
+_HEADER = struct.Struct("<4sIIII")  # magic, version, V, D, H
+
+
+def _quantized_payload_nbytes(config: CifgConfig) -> int:
+    return 8 * len(TENSOR_ORDER) + param_count(config)  # (scale, zp) + int8 codes per tensor
+
+
 def _write_header(fh, magic: bytes, config: CifgConfig) -> None:
-    fh.write(magic)
-    fh.write(struct.pack("<IIII", CHECKPOINT_VERSION, config.V, config.D, config.H))
+    fh.write(_HEADER.pack(magic, CHECKPOINT_VERSION, config.V, config.D, config.H))
 
 
-def _read_header(fh, expected_magic: bytes) -> CifgConfig:
-    magic = fh.read(4)
-    if magic != expected_magic:
-        raise ValueError(f"bad checkpoint magic {magic!r}, expected {expected_magic!r}")
-    version, V, D, H = struct.unpack("<IIII", fh.read(16))
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    return CifgConfig(V=V, D=D, H=H)
+def _read_model_file(path, expected_magic: bytes, payload_nbytes) -> tuple:
+    """(config, payload) of a file that must be exactly a header plus
+    payload_nbytes(config) bytes. The size is checked against the file's
+    length before the payload is read, so a corrupt header cannot ask for
+    an absurd allocation."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if head[:4] != expected_magic:
+            raise ValueError(f"bad checkpoint magic {head[:4]!r}, expected {expected_magic!r}")
+        if len(head) != _HEADER.size:
+            raise ValueError(f"truncated checkpoint header ({len(head)} of {_HEADER.size} bytes)")
+        _, version, V, D, H = _HEADER.unpack(head)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        config = CifgConfig(V=V, D=D, H=H)
+        expected = _HEADER.size + payload_nbytes(config)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual < expected:
+            raise ValueError(f"truncated checkpoint: {actual} bytes, expected {expected} for V={V} D={D} H={H}")
+        if actual > expected:
+            raise ValueError(f"checkpoint has {actual - expected} trailing bytes after its weights")
+        return config, fh.read()
 
 
 def save_checkpoint(path, model: CifgModel) -> None:
     with open(path, "wb") as fh:
         _write_header(fh, CHECKPOINT_MAGIC, model.config)
-        for name in TENSOR_ORDER:
-            fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(model.params, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> CifgModel:
-    with open(path, "rb") as fh:
-        config = _read_header(fh, CHECKPOINT_MAGIC)
-        shapes = tensor_shapes(config)
-        tensors = {}
-        for name in TENSOR_ORDER:
-            shape = shapes[name]
-            size = int(np.prod(shape))
-            buf = fh.read(4 * size)
-            if len(buf) != 4 * size:
-                raise ValueError("truncated checkpoint")
-            tensors[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float32)
-    return CifgModel(config=config, **tensors)
+    config, payload = _read_model_file(path, CHECKPOINT_MAGIC, lambda config: 4 * param_count(config))
+    return CifgModel(config, np.frombuffer(payload, dtype="<f4").astype(np.float32))
 
 
 def save_quantized(path, q: QuantizedModel) -> None:
@@ -483,18 +467,15 @@ def save_quantized(path, q: QuantizedModel) -> None:
 
 
 def load_quantized(path) -> QuantizedModel:
-    with open(path, "rb") as fh:
-        config = _read_header(fh, QUANTIZED_MAGIC)
-        shapes = tensor_shapes(config)
-        codes, scales, zps = {}, {}, {}
-        for name in TENSOR_ORDER:
-            shape = shapes[name]
-            size = int(np.prod(shape))
-            scale, zp = struct.unpack("<ff", fh.read(8))
-            buf = fh.read(size)
-            if len(buf) != size:
-                raise ValueError("truncated checkpoint")
-            codes[name] = np.frombuffer(buf, dtype=np.int8).reshape(shape)
-            scales[name] = np.float32(scale)
-            zps[name] = np.float32(zp)
+    config, payload = _read_model_file(path, QUANTIZED_MAGIC, _quantized_payload_nbytes)
+    shapes = tensor_shapes(config)
+    codes, scales, zps = {}, {}, {}
+    offset = 0
+    for name in TENSOR_ORDER:
+        scale, zp = struct.unpack_from("<ff", payload, offset)
+        size = math.prod(shapes[name])
+        codes[name] = np.frombuffer(payload, dtype=np.int8, count=size, offset=offset + 8).reshape(shapes[name])
+        scales[name] = np.float32(scale)
+        zps[name] = np.float32(zp)
+        offset += 8 + size
     return QuantizedModel(config=config, codes=codes, scales=scales, zero_points=zps)

@@ -85,7 +85,6 @@ class RunConfig:
     metrics: str = "metrics.csv"
     # misc
     seed: int = 0
-    threads: int = 0  # 0 = unset; accepted cap on workers (current code is single-process)
     timing: bool = False  # include real wall_ms in metrics CSVs (breaks byte-identical reruns)
 
 
@@ -142,15 +141,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "clients_per_round", None) is not None:
         cfg.clients_per_round_min = args.clients_per_round
         cfg.clients_per_round_max = args.clients_per_round
-    if cfg.threads == 0:
-        env = os.environ.get("FEDLM_THREADS", "").strip()
-        if env:
-            try:
-                cfg.threads = int(env)
-            except ValueError as exc:
-                raise UsageError(f"FEDLM_THREADS must be an integer, got {env!r}") from exc
-    if cfg.threads < 0:
-        raise UsageError("threads must be non-negative")
     return cfg
 
 
@@ -169,6 +159,16 @@ def _tokenized_split(cfg: RunConfig, raw: list) -> tuple:
     tokenized = [corpus.tokenize(s, vocab) for s in raw]
     data = corpus.split(tokenized, (cfg.train_frac, cfg.test_frac, cfg.eval_frac), cfg.seed)
     return vocab, data
+
+
+def _eval_shards(cfg: RunConfig, data: list) -> list:
+    """Held-out sentences dealt to cfg.eval_clients device caches."""
+    return corpus.partition_clients(
+        data,
+        min(cfg.eval_clients, len(data)),
+        max(1, len(data) // max(1, cfg.eval_clients)),
+        derive_seed(cfg.seed, "eval-clients"),
+    )
 
 
 def _model_config(cfg: RunConfig, V: int) -> CifgConfig:
@@ -233,14 +233,7 @@ def cmd_train_federated(cfg: RunConfig) -> int:
     population = corpus.partition_clients(
         data.train, cfg.clients, cfg.mean_shard, derive_seed(cfg.seed, "train-clients")
     )
-    eval_population = None
-    if data.eval and cfg.eval_clients > 0:
-        eval_population = corpus.partition_clients(
-            data.eval,
-            min(cfg.eval_clients, len(data.eval)),
-            max(1, len(data.eval) // max(1, cfg.eval_clients)),
-            derive_seed(cfg.seed, "eval-clients"),
-        )
+    eval_population = _eval_shards(cfg, data.eval) if data.eval and cfg.eval_clients > 0 else None
     fed_cfg = fedavg.FedConfig(
         clients_per_round_min=cfg.clients_per_round_min,
         clients_per_round_max=cfg.clients_per_round_max,
@@ -276,22 +269,15 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     raw = _load_raw_corpus(args.data)
     data = [corpus.tokenize(s, vocab) for s in raw]
     if args.fed_eval:
-        shards = corpus.partition_clients(
-            data,
-            min(cfg.eval_clients, len(data)),
-            max(1, len(data) // max(1, cfg.eval_clients)),
-            derive_seed(cfg.seed, "eval-clients"),
-        )
-        r1 = fedavg.federated_eval(model, shards, 1)
-        r3 = fedavg.federated_eval(model, shards, 3)
+        recalls = fedavg.federated_recalls(model, _eval_shards(cfg, data), (1, 3))
+        r1, r3 = recalls[1], recalls[3]
         note = " (stderr degenerate: single client)" if r1.degenerate else ""
         print(f"top-1 {r1.recall:.4f} ± {r1.stderr:.4f}{note}")
         print(f"top-3 {r3.recall:.4f} ± {r3.stderr:.4f}")
     else:
-        top1 = evaluate.recall_topk(model, data, 1)
-        top3 = evaluate.recall_topk(model, data, 3)
-        print(f"top-1 {top1:.4f}")
-        print(f"top-3 {top3:.4f}")
+        recalls = evaluate.recalls_topk(model, data, (1, 3))
+        print(f"top-1 {recalls[1]:.4f}")
+        print(f"top-3 {recalls[3]:.4f}")
     return 0
 
 
@@ -359,7 +345,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--threads", type=int, dest="threads", help="worker cap (advisory; env FEDLM_THREADS is the fallback)")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:

@@ -93,13 +93,18 @@ def multi_k_stats(predictor, data: list, ks: tuple) -> tuple:
     return hits, positions
 
 
-def recall_topk(predictor, data: list, k: int) -> float:
-    if k < 1:
+def recalls_topk(predictor, data: list, ks: tuple) -> dict:
+    """{k: top-k recall} for every k from one pass over data."""
+    if min(ks) < 1:
         raise ValueError("k must be at least 1")
-    hits, positions = multi_k_stats(predictor, data, (k,))
+    hits, positions = multi_k_stats(predictor, data, ks)
     if positions == 0:
         raise ValueError("empty evaluation")
-    return hits[k] / positions
+    return {k: hits[k] / positions for k in ks}
+
+
+def recall_topk(predictor, data: list, k: int) -> float:
+    return recalls_topk(predictor, data, (k,))[k]
 
 
 @dataclass
@@ -159,10 +164,4 @@ def compare_report(models: list, data: list, ks: tuple = (1, 3)) -> CompareRepor
     if not models:
         raise ValueError("no models to compare")
     ks = tuple(sorted(ks))
-    rows = []
-    for name, predictor in models:
-        hits, positions = multi_k_stats(predictor, data, ks)
-        if positions == 0:
-            raise ValueError("empty evaluation")
-        rows.append((name, {k: hits[k] / positions for k in ks}))
-    return CompareReport(ks=ks, rows=rows)
+    return CompareReport(ks=ks, rows=[(name, recalls_topk(predictor, data, ks)) for name, predictor in models])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cifg import CifgConfig, CifgModel, flatten, init_model, loss_and_grads, param_count, unflatten
+from .cifg import CifgConfig, CifgModel, init_model, loss_and_grads, param_count
 from .corpus import ClientShard
 from .evaluate import JackknifeResult, MetricsRow, jackknife_recall, multi_k_stats
 from .nn_core import OptimizerState, derive_seed, make_optimizer, nesterov_step, rng_for, sgd_step
@@ -58,7 +58,7 @@ class FedConfig:
 @dataclass
 class ClientUpdate:
     client_id: int
-    weights: np.ndarray  # flat local weights after training
+    weights: np.ndarray  # flat local weights after training (the global buffer itself if client_lr is 0)
     n_k: int  # sentences processed per epoch
     local_loss: float
 
@@ -99,8 +99,6 @@ def client_round(global_model: CifgModel, shard: ClientShard, config: FedConfig,
     """
     if shard.n_k < 1:
         raise ValueError("client shard is empty")
-    cfg_model = global_model.config
-    params = flatten(global_model)
     current = global_model
     losses = []
     for epoch in range(config.client_epochs):
@@ -114,11 +112,10 @@ def client_round(global_model: CifgModel, shard: ClientShard, config: FedConfig,
                 )
             losses.append(loss)
             if config.client_lr > 0:
-                params = sgd_step(params, flatten(grads), config.client_lr)
-                current = unflatten(cfg_model, params)
+                current = CifgModel(current.config, sgd_step(current.params, grads.params, config.client_lr))
     return ClientUpdate(
         client_id=shard.client_id,
-        weights=params,
+        weights=current.params,
         n_k=shard.n_k,
         local_loss=float(np.mean(losses)),
     )
@@ -158,14 +155,14 @@ def aggregate(updates: list) -> np.ndarray:
 
 def server_update(state: ServerState, averaged: np.ndarray) -> ServerState:
     """One server step on the pseudo-gradient g = w_t - averaged."""
-    w = flatten(state.global_model)
+    w = state.global_model.params
     if averaged.shape != w.shape:
         raise ValueError("averaged weights disagree with global shape")
     pseudo_grad = w - averaged
     new_w, new_opt = nesterov_step(state.opt, pseudo_grad, w)
     return ServerState(
         round=state.round + 1,
-        global_model=unflatten(state.global_model.config, new_w),
+        global_model=CifgModel(state.global_model.config, new_w),
         opt=new_opt,
     )
 
@@ -176,22 +173,24 @@ def _per_client_k_stats(model: CifgModel, shards: list, ks: tuple) -> list:
     return [multi_k_stats(model, shard.sentences, ks) for shard in shards]
 
 
-def federated_eval(model: CifgModel, eval_population: list, k: int) -> JackknifeResult:
-    """Token-weighted top-k recall over per-client evaluations with a
-    leave-one-client-out jackknife standard error."""
+def federated_recalls(model: CifgModel, eval_population: list, ks: tuple) -> dict:
+    """{k: token-weighted top-k recall over per-client evaluations with a
+    leave-one-client-out jackknife standard error}, from one pass over the
+    clients for all ks."""
     if not eval_population:
         raise ValueError("empty evaluation population")
-    stats = _per_client_k_stats(model, eval_population, (k,))
-    return jackknife_recall([(hits[k], pos) for hits, pos in stats])
+    stats = _per_client_k_stats(model, eval_population, ks)
+    return {k: jackknife_recall([(hits[k], pos) for hits, pos in stats]) for k in ks}
+
+
+def federated_eval(model: CifgModel, eval_population: list, k: int) -> JackknifeResult:
+    return federated_recalls(model, eval_population, (k,))[k]
 
 
 def _eval_row(model, eval_population, phase, round_idx, examples, loss, t0) -> MetricsRow:
     if eval_population:
-        stats = _per_client_k_stats(model, eval_population, (1, 3))
-        jk1 = jackknife_recall([(h[1], p) for h, p in stats])
-        total_p = sum(p for _, p in stats)
-        top3 = sum(h[3] for h, _ in stats) / total_p if total_p else float("nan")
-        top1, stderr = jk1.recall, jk1.stderr
+        recalls = federated_recalls(model, eval_population, (1, 3))
+        top1, stderr, top3 = recalls[1].recall, recalls[1].stderr, recalls[3].recall
     else:
         top1 = top3 = float("nan")
         stderr = 0.0
@@ -223,7 +222,7 @@ def run_federated(
         initial_model = init_model(model_config, derive_seed(fed_config.seed, "global-init"), dtype=dtype)
     opt = make_optimizer(
         "nesterov", fed_config.server_lr, fed_config.server_momentum,
-        param_count(model_config), dtype=flatten(initial_model).dtype,
+        param_count(model_config), dtype=initial_model.dtype,
     )
     state = ServerState(round=0, global_model=initial_model, opt=opt)
 

@@ -70,11 +70,8 @@ def init_uniform(shape: tuple[int, ...], seed: int, dtype=np.float32) -> np.ndar
 
 @dataclass
 class OptimizerState:
-    """First-order optimizer over a flat parameter vector.
-
-    kind is "plain_sgd" or "nesterov"; plain SGD simply ignores the velocity
-    (momentum 0 gives bit-identical behaviour either way).
-    """
+    """Server optimizer over a flat parameter vector. kind must be
+    "nesterov" (momentum 0 makes it plain SGD, bit for bit)."""
 
     kind: str
     lr: float
@@ -82,7 +79,7 @@ class OptimizerState:
     velocity: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("plain_sgd", "nesterov"):
+        if self.kind != "nesterov":
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
@@ -114,16 +111,6 @@ def nesterov_step(state: OptimizerState, pseudo_grad: np.ndarray, params: np.nda
     v = state.momentum * state.velocity + pseudo_grad
     new_params = params - state.lr * (state.momentum * v + pseudo_grad)
     return new_params, replace(state, velocity=v)
-
-
-def clip_by_global_norm(grads: np.ndarray, max_norm: float | None) -> np.ndarray:
-    """Scale grads so the global L2 norm is at most max_norm. None disables."""
-    if max_norm is None or max_norm <= 0:
-        return grads
-    norm = float(np.linalg.norm(grads))
-    if norm <= max_norm:
-        return grads
-    return grads * (max_norm / norm)
 
 
 def finite_diff_grad(loss_fn: Callable[[np.ndarray], float], params: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -16,20 +16,19 @@ import pytest
 from conftest import make_sentences, random_token_batch
 from fedlm.central import CentralConfig, train_centralized
 from fedlm.cifg import (
-    CellState,
     CifgConfig,
-    cell_step,
     dequantize,
     flatten,
     init_model,
+    input_preactivations,
     loss_and_grads,
     param_count,
     quantize,
+    recurrent_step,
     save_quantized,
     tensor_shapes,
     topk_candidates,
     unflatten,
-    zero_state,
 )
 from fedlm.corpus import (
     ClientShard,
@@ -248,17 +247,15 @@ def test_c02_gate_coupling_is_exact(acceptance_log):
             dtype = np.float64 if m % 2 == 0 else np.float32
             model = init_model(cfg, seed=500 + m, dtype=dtype)
             rng = rng_for(600 + m, "state")
-            state = zero_state(cfg, dtype=dtype)
+            c, r = np.zeros((1, 8), dtype), np.zeros((1, 6), dtype)
             for _ in range(50):
-                x = rng.standard_normal(6).astype(dtype) * 3.0
+                x = rng.standard_normal((1, 6)).astype(dtype) * 3.0
                 if rng.random() < 0.3:  # occasionally restart from a random state
-                    state = CellState(
-                        c=rng.standard_normal(8).astype(dtype),
-                        r=rng.standard_normal(6).astype(dtype),
-                        i=np.zeros(8, dtype), f=np.ones(8, dtype), o=np.zeros(8, dtype),
-                    )
-                state = cell_step(model, x, state)
-                worst = max(worst, float(np.abs(state.f + state.i - 1.0).max()))
+                    c = rng.standard_normal((1, 8)).astype(dtype)
+                    r = rng.standard_normal((1, 6)).astype(dtype)
+                step = recurrent_step(model, input_preactivations(model, x), c, r)
+                worst = max(worst, float(np.abs(step.f + step.i - 1.0).max()))
+                c, r = step.c, step.r
                 calls += 1
         log.detail = f"max |f+i-1| = {worst} over {calls} calls"
         assert calls == 1000

@@ -18,26 +18,25 @@ from fedlm.cifg import (
     CHECKPOINT_MAGIC,
     QUANTIZED_MAGIC,
     TENSOR_ORDER,
-    CellState,
     CifgConfig,
-    CifgModel,
-    cell_step,
+    _batch_arrays,
+    _forward_scan,
     dequantize,
     flatten,
-    forward,
     init_model,
+    input_preactivations,
     load_checkpoint,
     load_quantized,
     loss_and_grads,
     param_count,
     predict_topk,
     quantize,
+    recurrent_step,
     save_checkpoint,
     save_quantized,
     tensor_shapes,
     topk_candidates,
     unflatten,
-    zero_state,
 )
 from fedlm.corpus import NUM_SPECIALS
 from fedlm.nn_core import finite_diff_grad, rng_for
@@ -52,20 +51,20 @@ CELL_R = 0.18107554822384872
 
 
 def constant_model(config, value, dtype=np.float64):
-    tensors = {
-        name: np.full(shape, value, dtype=dtype)
-        for name, shape in tensor_shapes(config).items()
-    }
-    return CifgModel(config=config, **tensors)
+    return unflatten(config, np.full(param_count(config), value, dtype=dtype))
 
 
 def random_model(config, seed, dtype=np.float64, scale=0.4):
     rng = rng_for(seed, "test-model")
-    tensors = {
-        name: (scale * rng.standard_normal(shape)).astype(dtype)
-        for name, shape in tensor_shapes(config).items()
-    }
-    return CifgModel(config=config, **tensors)
+    model = unflatten(config, np.empty(param_count(config), dtype=dtype))
+    for name, shape in tensor_shapes(config).items():  # draws W, P, Wi, Ui, bi, ... in turn
+        getattr(model, name)[...] = (scale * rng.standard_normal(shape)).astype(dtype)
+    return model
+
+
+def step_one(model, x, c_prev, r_prev):
+    """The recurrent step at batch size 1, on an embedded input x of shape (D,)."""
+    return recurrent_step(model, input_preactivations(model, x[None, :]), c_prev[None, :], r_prev[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -78,25 +77,18 @@ class TestCellStep:
         model = constant_model(cfg, 0.5)
         for gate in ("bi", "bc", "bo"):
             getattr(model, gate)[...] = 0.0
-        prev = CellState(
-            c=np.array([1.0]),
-            r=np.array([0.0]),
-            i=np.zeros(1),
-            f=np.ones(1),
-            o=np.zeros(1),
-        )
-        out = cell_step(model, np.array([1.0]), prev)
-        assert out.i[0] == pytest.approx(SIGMOID_HALF, rel=0, abs=1e-15)
-        assert out.f[0] == pytest.approx(1.0 - SIGMOID_HALF, rel=0, abs=1e-15)
-        assert out.o[0] == pytest.approx(SIGMOID_HALF, rel=0, abs=1e-15)
-        assert out.c[0] == pytest.approx(CELL_C, rel=0, abs=1e-15)
-        assert out.h[0] == pytest.approx(CELL_H, rel=0, abs=1e-15)
-        assert out.r[0] == pytest.approx(CELL_R, rel=0, abs=1e-15)
+        out = step_one(model, np.array([1.0]), c_prev=np.array([1.0]), r_prev=np.array([0.0]))
+        assert out.i[0, 0] == pytest.approx(SIGMOID_HALF, rel=0, abs=1e-15)
+        assert out.f[0, 0] == pytest.approx(1.0 - SIGMOID_HALF, rel=0, abs=1e-15)
+        assert out.o[0, 0] == pytest.approx(SIGMOID_HALF, rel=0, abs=1e-15)
+        assert out.c[0, 0] == pytest.approx(CELL_C, rel=0, abs=1e-15)
+        assert out.h[0, 0] == pytest.approx(CELL_H, rel=0, abs=1e-15)
+        assert out.r[0, 0] == pytest.approx(CELL_R, rel=0, abs=1e-15)
 
-    def test_zero_weights_give_half_gates_and_zero_state(self):
+    def test_zero_weights_give_half_gates_and_zero_cell_state(self):
         cfg = CifgConfig(V=6, D=3, H=4)
         model = constant_model(cfg, 0.0)
-        out = cell_step(model, np.zeros(3), zero_state(cfg))
+        out = step_one(model, np.zeros(3), np.zeros(4), np.zeros(3))
         assert np.all(out.i == 0.5)
         assert np.all(out.f == 0.5)
         assert np.all(out.o == 0.5)
@@ -105,42 +97,38 @@ class TestCellStep:
 
     def test_forget_gate_complements_input_gate_exactly(self):
         cfg = CifgConfig(V=8, D=5, H=7)
-        state = zero_state(cfg)
+        c, r = np.zeros(7), np.zeros(5)
         for trial in range(50):
             model = random_model(cfg, 900 + trial, scale=2.0)
             x = rng_for(trial, "x").standard_normal(5)
-            state = cell_step(model, x, state)
-            np.testing.assert_array_equal(state.f + state.i, np.ones(7))
+            out = step_one(model, x, c, r)
+            np.testing.assert_array_equal(out.f + out.i, np.ones((1, 7)))
+            c, r = out.c[0], out.r[0]
 
     def test_large_magnitude_preactivations_stay_finite(self):
         cfg = CifgConfig(V=4, D=2, H=3)
         model = constant_model(cfg, 200.0)
-        out = cell_step(model, np.array([50.0, -50.0]), zero_state(cfg))
+        out = step_one(model, np.array([50.0, -50.0]), np.zeros(3), np.zeros(2))
         for field in (out.i, out.f, out.c, out.o, out.r):
             assert np.all(np.isfinite(field))
 
-    def test_nonfinite_input_rejected(self):
-        cfg = CifgConfig(V=4, D=2, H=3)
-        model = constant_model(cfg, 0.1)
-        with pytest.raises(ValueError, match="numeric overflow"):
-            cell_step(model, np.array([np.nan, 1.0]), zero_state(cfg))
-
 
 def test_batched_forward_matches_stepwise_recurrence():
-    """The vectorized scan and the single-example cell chain must agree."""
+    """The scan over a padded batch gives each sequence the logits of its
+    own chain of batch-size-1 steps."""
     cfg = CifgConfig(V=12, D=4, H=5)
     model = random_model(cfg, 31)
-    seq = [0, 7, 4, 11, 3, 1]
-    logits = forward(model, seq)
-    assert logits.shape == (len(seq) - 1, cfg.V)
+    seqs = [[0, 7, 4, 11, 3, 1], [0, 9, 1], [0, 5, 5, 1]]
+    inputs, _, _ = _batch_arrays(seqs, cfg.V, model.dtype)
+    logits = _forward_scan(model, inputs)["logits"]
+    assert logits.shape == (3, 5, cfg.V)
 
-    state = zero_state(cfg)
-    for t, token in enumerate(seq[:-1]):
-        x = model.W[:, token]
-        state = cell_step(model, x, state)
-        np.testing.assert_allclose(
-            logits[t], model.W.T @ state.r, rtol=0, atol=1e-12
-        )
+    for b, seq in enumerate(seqs):
+        c, r = np.zeros(cfg.H), np.zeros(cfg.D)
+        for t, token in enumerate(seq[:-1]):
+            out = step_one(model, model.W[:, token], c, r)
+            c, r = out.c[0], out.r[0]
+            np.testing.assert_allclose(logits[b, t], model.W.T @ r, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +241,34 @@ class TestShapes:
                 getattr(model, name), getattr(rebuilt, name)
             )
 
+    def test_every_tensor_is_a_view_of_the_flat_vector(self, tmp_path):
+        cfg = CifgConfig(V=20, D=4, H=6)
+        model = init_model(cfg, seed=9)
+        save_checkpoint(tmp_path / "m.ckpt", model)
+        _, grads = loss_and_grads(model, [[0, 5, 7, 1], [0, 9, 1]])
+        built = {
+            "init_model": model,
+            "astype": model.astype(np.float64),
+            "load_checkpoint": load_checkpoint(tmp_path / "m.ckpt"),
+            "dequantize": dequantize(quantize(model)),
+            "loss_and_grads": grads,
+        }
+        for how, m in built.items():
+            flat = flatten(m)
+            assert flat is m.params and flat.flags.c_contiguous, how
+            assert flat.size == param_count(cfg), how
+            for name in TENSOR_ORDER:
+                assert np.shares_memory(getattr(m, name), flat), (how, name)
+        model.P[0, 0] = 7.0
+        assert flatten(model)[-cfg.D * cfg.H] == 7.0  # P is the last tensor in TENSOR_ORDER
+
+    def test_unflatten_wraps_without_copying(self):
+        cfg = CifgConfig(V=10, D=3, H=3)
+        vec = np.arange(param_count(cfg), dtype=np.float64)
+        model = unflatten(cfg, vec)
+        assert flatten(model) is vec
+        np.testing.assert_array_equal(model.W.ravel(), vec[: cfg.V * cfg.D])
+
     def test_unflatten_rejects_wrong_length(self):
         cfg = CifgConfig(V=10, D=3, H=3)
         with pytest.raises(ValueError):
@@ -334,6 +350,13 @@ class TestPrediction:
         pieces = topk_candidates(model, seqs, k=4, chunk=2)
         for a, b in zip(whole, pieces):
             np.testing.assert_array_equal(a, b)
+
+    def test_candidate_rows_do_not_keep_the_full_sort_alive(self):
+        cfg = CifgConfig(V=40, D=3, H=4)
+        model = random_model(cfg, 19)
+        seqs = [[0, 5, 9, 12, 1], [0, 7, 1], [0, 30, 31, 32, 33, 1]]
+        for row in topk_candidates(model, seqs, k=3, chunk=2):
+            assert row.base is None or row.base.shape[-1] == 3
 
     def test_context_and_k_validation(self):
         cfg = CifgConfig(V=10, D=3, H=3)
@@ -422,6 +445,26 @@ class TestCheckpointIO:
             )
         save_checkpoint(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_is_header_plus_float32_tensors_in_order(self, tmp_path):
+        cfg = CifgConfig(V=18, D=4, H=5)
+        model = random_model(cfg, 12)  # float64 weights are written as float32
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        header = CHECKPOINT_MAGIC + struct.pack("<IIII", 1, 18, 4, 5)
+        body = b"".join(getattr(model, n).astype("<f4").tobytes() for n in TENSOR_ORDER)
+        assert path.read_bytes() == header + body
+
+    def test_quantized_file_is_header_plus_scaled_codes_in_order(self, tmp_path):
+        cfg = CifgConfig(V=18, D=4, H=5)
+        q = quantize(init_model(cfg, seed=12))
+        path = tmp_path / "m.q8"
+        save_quantized(path, q)
+        header = QUANTIZED_MAGIC + struct.pack("<IIII", 1, 18, 4, 5)
+        body = b"".join(
+            struct.pack("<ff", q.scales[n], q.zero_points[n]) + q.codes[n].tobytes() for n in TENSOR_ORDER
+        )
+        assert path.read_bytes() == header + body
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -5,6 +5,7 @@ stays fast. Exit-code contract: 0 success, 1 usage error, 2 runtime error.
 """
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fedlm.cifg import (
     init_model,
     load_checkpoint,
 )
-from fedlm.cli import RunConfig, UsageError, main, parse_config_file, resolve_config
+from fedlm.cli import RunConfig, main, parse_config_file
 from fedlm.corpus import load_corpus, load_vocab
 from fedlm.evaluate import CSV_HEADER
 from fedlm.nn_core import derive_seed
@@ -213,6 +214,35 @@ class TestEvalAndCompare:
         assert rows[0] == rows[1]
 
 
+def _cut_in_header(data):
+    return data[:12]
+
+
+def _absurd_dims(data):
+    # V = D = H = 2**24 - 1 asks for a petabyte of weights
+    return data[:8] + struct.pack("<III", 0xFFFFFF, 0xFFFFFF, 0xFFFFFF) + data[20:]
+
+
+def _trailing_bytes(data):
+    return data + b"\x00" * 3
+
+
+@pytest.mark.parametrize("damage", [_cut_in_header, _absurd_dims, _trailing_bytes])
+@pytest.mark.parametrize("quantized", [False, True], ids=["float", "int8"])
+def test_eval_of_a_malformed_checkpoint_is_one_line_and_exit_2(workdir, capsys, quantized, damage):
+    run(GEN, capsys)
+    assert run(TRAIN, capsys)[0] == 0
+    path = "m.ckpt"
+    if quantized:
+        assert run(["quantize", "--checkpoint", "m.ckpt", "--out", "m.q8"], capsys)[0] == 0
+        path = "m.q8"
+    (workdir / "bad").write_bytes(damage((workdir / path).read_bytes()))
+    code, out, err = run(["eval", "--checkpoint", "bad", "--vocab", "v.txt", "--data", "tiny.txt"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fedlm: ") and err.count("\n") == 1
+
+
 class TestQuantizeCommand:
     def test_quantize_then_eval_through_the_same_interface(self, workdir, capsys):
         run(GEN, capsys)
@@ -269,23 +299,6 @@ class TestConfigResolution:
     def test_comments_and_blanks_are_ignored(self, workdir):
         (workdir / "ok.cfg").write_text("\n# comment only\nseed = 7 # trailing\n\n")
         assert parse_config_file(str(workdir / "ok.cfg")) == {"seed": 7}
-
-    def test_threads_env_fallback(self, monkeypatch):
-        import argparse
-
-        monkeypatch.setenv("FEDLM_THREADS", "4")
-        cfg = resolve_config(argparse.Namespace())
-        assert cfg.threads == 4
-        monkeypatch.setenv("FEDLM_THREADS", "many")
-        with pytest.raises(UsageError):
-            resolve_config(argparse.Namespace())
-
-    def test_explicit_threads_beats_env(self, monkeypatch):
-        import argparse
-
-        monkeypatch.setenv("FEDLM_THREADS", "4")
-        ns = argparse.Namespace(threads=2)
-        assert resolve_config(ns).threads == 2
 
     def test_defaults_match_documented_values(self):
         cfg = RunConfig()

@@ -364,3 +364,26 @@ class TestFedConfigValidation:
             FedConfig(client_batch_size=0)
         with pytest.raises(ValueError):
             FedConfig(client_epochs=0)
+
+
+def test_trainers_never_write_into_the_model_they_are_given():
+    """Tensors are views of one flat vector and flatten() aliases it, so a
+    trainer that stepped in place would corrupt its caller's model."""
+    mcfg = CifgConfig(V=12, D=3, H=4)
+    model = init_model(mcfg, seed=4, dtype=np.float64)
+    before = flatten(model).copy()
+    data = CorpusSplit(train=sentences_for(5, 12), test=[], eval=[], seed=0)
+    trained, _ = train_centralized(model, data, CentralConfig(lr=0.3, batch_size=4, max_steps=5, seed=1))
+    shard = ClientShard(client_id=0, sentences=data.train)
+    cfg = FedConfig(clients_per_round_min=1, clients_per_round_max=1, client_lr=0.3, client_batch_size=4, seed=1)
+    local = client_round(model, shard, cfg)
+    averaged = local.weights.copy()
+    state = ServerState(round=0, global_model=model,
+                        opt=make_optimizer("nesterov", 1.0, 0.9, before.size, dtype=np.float64))
+    stepped = server_update(state, averaged)
+
+    np.testing.assert_array_equal(flatten(model), before)
+    np.testing.assert_array_equal(averaged, local.weights)
+    for out in (flatten(trained), local.weights, flatten(stepped.global_model)):
+        assert not np.shares_memory(out, flatten(model))
+        assert not np.array_equal(out, before)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fedlm.nn_core import (
     OptimizerState,
-    clip_by_global_norm,
     derive_seed,
     fan_bound,
     finite_diff_grad,
@@ -175,14 +174,3 @@ def test_finite_diff_requires_float64_and_positive_h():
         finite_diff_grad(lambda q: 0.0, np.ones(3, dtype=np.float32), h=1e-5)
     with pytest.raises(ValueError):
         finite_diff_grad(lambda q: 0.0, np.ones(3), h=0.0)
-
-
-# --- clipping ---------------------------------------------------------------
-
-def test_clip_by_global_norm():
-    g = np.array([3.0, 4.0])  # norm 5
-    clipped = clip_by_global_norm(g, 2.5)
-    assert np.isclose(np.linalg.norm(clipped), 2.5)
-    assert np.allclose(clipped, g / 2.0)
-    assert clip_by_global_norm(g, 10.0) is g
-    assert clip_by_global_norm(g, None) is g
