@@ -5,7 +5,8 @@ Synthesizes a corpus from a fixed random 3-gram source, trains the recurrent
 language model two ways — centralized SGD and simulated federated averaging
 over unbalanced client shards — fits unigram and trigram backoff baselines on
 the same training split, and prints a side-by-side top-1/top-3 recall table
-on the held-out evaluation split.
+on the held-out evaluation split. The wiring lives in `fedlm.pipeline`; the
+acceptance suite runs the same `run_desk` with the full profile.
 
 Everything is deterministic in --seed; rerunning with the same arguments
 reproduces the metrics files byte for byte.
@@ -19,34 +20,17 @@ import os
 import sys
 import time
 
-from fedlm.central import CentralConfig, train_centralized
-from fedlm.cifg import CifgConfig, init_model, save_checkpoint
-from fedlm.corpus import (
-    build_vocab,
-    partition_clients,
-    save_corpus,
-    save_vocab,
-    split,
-    synthesize_corpus,
-    tokenize,
-)
-from fedlm.evaluate import compare_report, write_metrics_csv
-from fedlm.fedavg import FedConfig, run_federated
-from fedlm.ngram import train_ngram
-from fedlm.nn_core import derive_seed
-
-PROFILES = {
-    # sentences, central steps, federated rounds, clients, mean shard
-    "quick": dict(sentences=8000, steps=3000, rounds=60, clients=20, mean_shard=200),
-    "full": dict(sentences=60000, steps=20000, rounds=300, clients=50, mean_shard=400),
-}
+from fedlm.cifg import save_checkpoint
+from fedlm.corpus import save_corpus, save_vocab
+from fedlm.evaluate import write_metrics_csv
+from fedlm.pipeline import DESK_CORPUS_SEED, DESK_PROFILES, run_desk
 
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--profile", choices=sorted(PROFILES), default="quick")
-    p.add_argument("--seed", type=int, default=20260819)
+    p.add_argument("--profile", choices=sorted(DESK_PROFILES), default="quick")
+    p.add_argument("--seed", type=int, default=DESK_CORPUS_SEED)
     p.add_argument("--source-vocab", type=int, default=500)
     p.add_argument("--embed-dim", type=int, default=16)
     p.add_argument("--hidden", type=int, default=32)
@@ -56,66 +40,31 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    prof = PROFILES[args.profile]
+    prof = DESK_PROFILES[args.profile]
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
 
-    print(f"[1/5] synthesizing {prof['sentences']} sentences "
-          f"(3-gram source, {args.source_vocab} words)")
-    raw = synthesize_corpus(3, args.source_vocab, prof["sentences"], seed=args.seed)
-    save_corpus(os.path.join(args.out, "corpus.txt"), raw)
-    vocab = build_vocab(raw, args.source_vocab + 3)
-    save_vocab(os.path.join(args.out, "vocab.txt"), vocab)
-    toks = [tokenize(s, vocab) for s in raw]
-    data = split(toks, (5 / 6, 1 / 12, 1 / 12), seed=101)
-    print(f"      vocabulary {vocab.V}, split "
-          f"{len(data.train)}/{len(data.test)}/{len(data.eval)}")
+    print(f"{args.profile} profile: {prof['sentences']} sentences (3-gram source, "
+          f"{args.source_vocab} words); centralized SGD {prof['steps']} steps; "
+          f"federated averaging {prof['rounds']} rounds over {prof['clients']} clients; "
+          f"n-gram baselines; held-out comparison")
+    run = run_desk(args.profile, seed=args.seed, source_vocab=args.source_vocab,
+                   embed_dim=args.embed_dim, hidden=args.hidden)
 
-    mcfg = CifgConfig(V=vocab.V, D=args.embed_dim, H=args.hidden)
-
-    print(f"[2/5] centralized SGD, {prof['steps']} steps")
-    central_model, central_rows = train_centralized(
-        init_model(mcfg, seed=5), data,
-        CentralConfig(lr=0.5, batch_size=50, max_steps=prof["steps"],
-                      eval_every=max(1, prof["steps"] // 10), seed=33),
-    )
-    save_checkpoint(os.path.join(args.out, "central.ckpt"), central_model)
-    write_metrics_csv(os.path.join(args.out, "central.csv"), central_rows)
-
-    print(f"[3/5] federated averaging, {prof['rounds']} rounds over "
-          f"{prof['clients']} clients")
-    population = partition_clients(data.train, prof["clients"], prof["mean_shard"],
-                                   derive_seed(77, "train-clients"))
-    eval_population = partition_clients(data.eval, 10, max(1, len(data.eval) // 10),
-                                        derive_seed(77, "eval-clients"))
-    fed_model, fed_rows = run_federated(
-        population,
-        FedConfig(clients_per_round_min=5, clients_per_round_max=10, client_lr=0.5,
-                  client_batch_size=50, client_epochs=1, total_rounds=prof["rounds"],
-                  eligibility_prob=1.0, seed=77, server_lr=1.0, server_momentum=0.9,
-                  eval_every=max(1, prof["rounds"] // 6)),
-        mcfg,
-        eval_population=eval_population,
-    )
-    save_checkpoint(os.path.join(args.out, "federated.ckpt"), fed_model)
-    write_metrics_csv(os.path.join(args.out, "federated.csv"), fed_rows)
-
-    print("[4/5] n-gram baselines")
-    unigram = train_ngram(data.train, 1, 0.75, vocab.V)
-    trigram = train_ngram(data.train, 3, 0.75, vocab.V)
-
-    print("[5/5] held-out comparison")
-    report = compare_report(
-        [("central-cifg", central_model), ("federated-cifg", fed_model),
-         ("trigram", trigram), ("unigram", unigram)],
-        data.eval, ks=(1, 3),
-    )
+    save_corpus(os.path.join(args.out, "corpus.txt"), run.raw)
+    save_vocab(os.path.join(args.out, "vocab.txt"), run.vocab)
+    save_checkpoint(os.path.join(args.out, "central.ckpt"), run.central_model)
+    write_metrics_csv(os.path.join(args.out, "central.csv"), run.central_rows)
+    save_checkpoint(os.path.join(args.out, "federated.ckpt"), run.fed_model)
+    write_metrics_csv(os.path.join(args.out, "federated.csv"), run.fed_rows)
     with open(os.path.join(args.out, "compare.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write(report.as_csv())
+        fh.write(run.report.as_csv())
 
+    data = run.data
+    print(f"vocabulary {run.vocab.V}, split {len(data.train)}/{len(data.test)}/{len(data.eval)}")
     print()
-    print(report.as_text(), end="")
+    print(run.report.as_text(), end="")
     print(f"\ndone in {time.perf_counter() - t0:.0f}s; artifacts in {args.out}/")
     return 0
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cifg import CifgModel, loss_and_grads
 from .corpus import CorpusSplit, is_trainable
-from .evaluate import MetricsRow, multi_k_stats
+from .evaluate import MetricsRow, multi_k_stats, scoring_during_training
 from .nn_core import rng_for, sgd_step
 
 
@@ -35,10 +35,11 @@ class CentralConfig:
             raise ValueError("max_steps must be >= 0 and eval_every >= 1")
 
 
-def _eval_recalls(model: CifgModel, data: list) -> tuple:
+def _eval_recalls(model: CifgModel, data: list, step: int) -> tuple:
     if not data:
         return float("nan"), float("nan")
-    hits, positions = multi_k_stats(model, data, (1, 3))
+    with scoring_during_training(f"step {step}"):
+        hits, positions = multi_k_stats(model, data, (1, 3))
     if positions == 0:
         return float("nan"), float("nan")
     return hits[1] / positions, hits[3] / positions
@@ -59,7 +60,7 @@ def train_centralized(model: CifgModel, data: CorpusSplit, config: CentralConfig
 
     t0 = time.perf_counter()
 
-    top1, top3 = _eval_recalls(model, data.eval)
+    top1, top3 = _eval_recalls(model, data.eval, 0)
     rows = [
         MetricsRow(
             phase="central", step_or_round=0, examples_seen=0, loss=float("nan"),
@@ -81,15 +82,16 @@ def train_centralized(model: CifgModel, data: CorpusSplit, config: CentralConfig
         batch = [train[i] for i in order[cursor : cursor + config.batch_size]]
         cursor += config.batch_size
 
-        loss, grads = loss_and_grads(current, batch)
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"non-finite training loss at step {step}")
-        current = CifgModel(model.config, sgd_step(current.params, grads.params, config.lr))
+        with np.errstate(all="ignore"):  # divergence is reported by the finite-loss check
+            loss, grads = loss_and_grads(current, batch)
+            if not np.isfinite(loss):
+                raise FloatingPointError(f"non-finite training loss at step {step}")
+            current = CifgModel(model.config, sgd_step(current.params, grads.params, config.lr))
         examples_seen += len(batch)
         window_losses.append(loss)
 
         if step % config.eval_every == 0 or step == config.max_steps:
-            top1, top3 = _eval_recalls(current, data.eval)
+            top1, top3 = _eval_recalls(current, data.eval, step)
             rows.append(
                 MetricsRow(
                     phase="central", step_or_round=step, examples_seen=examples_seen,

@@ -447,7 +447,13 @@ def _read_model_file(path, expected_magic: bytes, payload_nbytes) -> tuple:
         return config, fh.read()
 
 
+def _require_finite(values: np.ndarray, message: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(message)
+
+
 def save_checkpoint(path, model: CifgModel) -> None:
+    _require_finite(model.params, f"non-finite weights; not writing checkpoint {path}")
     with open(path, "wb") as fh:
         _write_header(fh, CHECKPOINT_MAGIC, model.config)
         fh.write(np.ascontiguousarray(model.params, dtype="<f4").tobytes())
@@ -455,7 +461,9 @@ def save_checkpoint(path, model: CifgModel) -> None:
 
 def load_checkpoint(path) -> CifgModel:
     config, payload = _read_model_file(path, CHECKPOINT_MAGIC, lambda config: 4 * param_count(config))
-    return CifgModel(config, np.frombuffer(payload, dtype="<f4").astype(np.float32))
+    params = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+    _require_finite(params, f"{path}: checkpoint holds non-finite weights")
+    return CifgModel(config, params)
 
 
 def save_quantized(path, q: QuantizedModel) -> None:
@@ -478,4 +486,6 @@ def load_quantized(path) -> QuantizedModel:
         scales[name] = np.float32(scale)
         zps[name] = np.float32(zp)
         offset += 8 + size
+    _require_finite(np.array([*scales.values(), *zps.values()]),
+                    f"{path}: checkpoint holds non-finite scales or zero points")
     return QuantizedModel(config=config, codes=codes, scales=scales, zero_points=zps)

@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import central, corpus, evaluate, fedavg, ngram
+from . import central, corpus, evaluate, fedavg, ngram, pipeline
 from .cifg import (
     CHECKPOINT_MAGIC,
     QUANTIZED_MAGIC,
@@ -154,21 +154,10 @@ def _load_raw_corpus(path: str) -> list:
     return corpus.load_corpus(path)
 
 
-def _tokenized_split(cfg: RunConfig, raw: list) -> tuple:
-    vocab = corpus.build_vocab(raw, cfg.vocab_size)
-    tokenized = [corpus.tokenize(s, vocab) for s in raw]
-    data = corpus.split(tokenized, (cfg.train_frac, cfg.test_frac, cfg.eval_frac), cfg.seed)
-    return vocab, data
-
-
-def _eval_shards(cfg: RunConfig, data: list) -> list:
-    """Held-out sentences dealt to cfg.eval_clients device caches."""
-    return corpus.partition_clients(
-        data,
-        min(cfg.eval_clients, len(data)),
-        max(1, len(data) // max(1, cfg.eval_clients)),
-        derive_seed(cfg.seed, "eval-clients"),
-    )
+def _prepare(cfg: RunConfig) -> tuple:
+    """(vocabulary, split) of the training corpus."""
+    fractions = (cfg.train_frac, cfg.test_frac, cfg.eval_frac)
+    return pipeline.prepare(_load_raw_corpus(cfg.corpus), cfg.vocab_size, fractions, cfg.seed)
 
 
 def _model_config(cfg: RunConfig, V: int) -> CifgConfig:
@@ -206,34 +195,36 @@ def cmd_gen(cfg: RunConfig) -> int:
     return 0
 
 
+def _save_run(cfg: RunConfig, vocab, trained, rows: list, summary: str) -> int:
+    save_checkpoint(cfg.checkpoint, trained)
+    corpus.save_vocab(cfg.vocab, vocab)
+    evaluate.write_metrics_csv(cfg.metrics, rows, include_timing=cfg.timing)
+    print(summary)
+    print(f"checkpoint: {cfg.checkpoint}  vocab: {cfg.vocab}  metrics: {cfg.metrics}")
+    return 0
+
+
 def cmd_train_server(cfg: RunConfig) -> int:
-    raw = _load_raw_corpus(cfg.corpus)
-    vocab, data = _tokenized_split(cfg, raw)
+    vocab, data = _prepare(cfg)
     model = init_model(_model_config(cfg, vocab.V), derive_seed(cfg.seed, "central-init"))
     train_cfg = central.CentralConfig(
         lr=cfg.lr, batch_size=cfg.batch_size, max_steps=cfg.max_steps,
         eval_every=cfg.eval_every, seed=cfg.seed,
     )
     trained, rows = central.train_centralized(model, data, train_cfg)
-    save_checkpoint(cfg.checkpoint, trained)
-    corpus.save_vocab(cfg.vocab, vocab)
-    evaluate.write_metrics_csv(cfg.metrics, rows, include_timing=cfg.timing)
     last = rows[-1]
-    print(
+    return _save_run(
+        cfg, vocab, trained, rows,
         f"trained {cfg.max_steps} steps on {len(data.train)} sentences; "
-        f"final top-1 {last.top1:.4f}, top-3 {last.top3:.4f}"
+        f"final top-1 {last.top1:.4f}, top-3 {last.top3:.4f}",
     )
-    print(f"checkpoint: {cfg.checkpoint}  vocab: {cfg.vocab}  metrics: {cfg.metrics}")
-    return 0
 
 
 def cmd_train_federated(cfg: RunConfig) -> int:
-    raw = _load_raw_corpus(cfg.corpus)
-    vocab, data = _tokenized_split(cfg, raw)
-    population = corpus.partition_clients(
-        data.train, cfg.clients, cfg.mean_shard, derive_seed(cfg.seed, "train-clients")
+    vocab, data = _prepare(cfg)
+    population, eval_population = pipeline.client_shards(
+        data, cfg.clients, cfg.mean_shard, cfg.eval_clients, cfg.seed
     )
-    eval_population = _eval_shards(cfg, data.eval) if data.eval and cfg.eval_clients > 0 else None
     fed_cfg = fedavg.FedConfig(
         clients_per_round_min=cfg.clients_per_round_min,
         clients_per_round_max=cfg.clients_per_round_max,
@@ -250,16 +241,12 @@ def cmd_train_federated(cfg: RunConfig) -> int:
     trained, rows = fedavg.run_federated(
         population, fed_cfg, _model_config(cfg, vocab.V), eval_population=eval_population
     )
-    save_checkpoint(cfg.checkpoint, trained)
-    corpus.save_vocab(cfg.vocab, vocab)
-    evaluate.write_metrics_csv(cfg.metrics, rows, include_timing=cfg.timing)
     last = rows[-1]
-    print(
+    return _save_run(
+        cfg, vocab, trained, rows,
         f"ran {cfg.rounds} rounds over {len(population)} clients; "
-        f"final top-1 {last.top1:.4f} ± {last.top1_stderr:.4f}, top-3 {last.top3:.4f}"
+        f"final top-1 {last.top1:.4f} ± {last.top1_stderr:.4f}, top-3 {last.top3:.4f}",
     )
-    print(f"checkpoint: {cfg.checkpoint}  vocab: {cfg.vocab}  metrics: {cfg.metrics}")
-    return 0
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -269,7 +256,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     raw = _load_raw_corpus(args.data)
     data = [corpus.tokenize(s, vocab) for s in raw]
     if args.fed_eval:
-        recalls = fedavg.federated_recalls(model, _eval_shards(cfg, data), (1, 3))
+        shards = pipeline.eval_shards(data, cfg.eval_clients, cfg.seed)
+        recalls = fedavg.federated_recalls(model, shards, (1, 3))
         r1, r3 = recalls[1], recalls[3]
         note = " (stderr degenerate: single client)" if r1.degenerate else ""
         print(f"top-1 {r1.recall:.4f} ± {r1.stderr:.4f}{note}")
@@ -300,9 +288,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
             continue
         if token in ("ngram", "unigram"):
             if ngram_train is None:
-                raw = _load_raw_corpus(cfg.corpus)
-                _, split_data = _tokenized_split(cfg, raw)
-                ngram_train = split_data.train
+                ngram_train = _prepare(cfg)[1].train
             order = 1 if token == "unigram" else cfg.ngram_order
             table = ngram.train_ngram(ngram_train, order, cfg.ngram_discount, vocab.V)
             models.append((token, table))

@@ -262,4 +262,6 @@ def load_vocab(path) -> Vocabulary:
         raise ValueError("vocabulary size mismatch between header and body")
     words = SPECIAL_TOKENS + tuple(kept)
     index = {w: NUM_SPECIALS + i for i, w in enumerate(kept)}
+    if len(index) != len(kept) or index.keys() & set(SPECIAL_TOKENS):
+        raise ValueError(f"{path}: vocabulary repeats a word or lists a special token")
     return Vocabulary(words=words, index=index)

@@ -18,6 +18,7 @@ returning ordered candidate-id rows per position, falling back to per-prefix
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,18 @@ def recalls_topk(predictor, data: list, ks: tuple) -> dict:
 
 def recall_topk(predictor, data: list, k: int) -> float:
     return recalls_topk(predictor, data, (k,))[k]
+
+
+@contextmanager
+def scoring_during_training(where: str):
+    """Scope for the trainers' periodic evaluation: a model that has diverged
+    overflows here, and that ends the run with one FloatingPointError naming
+    where, instead of numpy warnings and a meaningless recall row."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"non-finite model output at {where} ({exc})") from None
 
 
 @dataclass

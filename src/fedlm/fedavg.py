@@ -24,7 +24,7 @@ import numpy as np
 
 from .cifg import CifgConfig, CifgModel, init_model, loss_and_grads, param_count
 from .corpus import ClientShard
-from .evaluate import JackknifeResult, MetricsRow, jackknife_recall, multi_k_stats
+from .evaluate import JackknifeResult, MetricsRow, jackknife_recall, multi_k_stats, scoring_during_training
 from .nn_core import OptimizerState, derive_seed, make_optimizer, nesterov_step, rng_for, sgd_step
 
 
@@ -105,14 +105,15 @@ def client_round(global_model: CifgModel, shard: ClientShard, config: FedConfig,
         order = rng_for(config.seed, "client", shard.client_id, round_idx, epoch).permutation(shard.n_k)
         for start in range(0, shard.n_k, config.client_batch_size):
             batch = [shard.sentences[i] for i in order[start : start + config.client_batch_size]]
-            loss, grads = loss_and_grads(current, batch)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite loss on client {shard.client_id}, round {round_idx}"
-                )
+            with np.errstate(all="ignore"):  # divergence is reported by the finite-loss check
+                loss, grads = loss_and_grads(current, batch)
+                if not np.isfinite(loss):
+                    raise FloatingPointError(
+                        f"non-finite loss on client {shard.client_id}, round {round_idx}"
+                    )
+                if config.client_lr > 0:
+                    current = CifgModel(current.config, sgd_step(current.params, grads.params, config.client_lr))
             losses.append(loss)
-            if config.client_lr > 0:
-                current = CifgModel(current.config, sgd_step(current.params, grads.params, config.client_lr))
     return ClientUpdate(
         client_id=shard.client_id,
         weights=current.params,
@@ -189,7 +190,8 @@ def federated_eval(model: CifgModel, eval_population: list, k: int) -> Jackknife
 
 def _eval_row(model, eval_population, phase, round_idx, examples, loss, t0) -> MetricsRow:
     if eval_population:
-        recalls = federated_recalls(model, eval_population, (1, 3))
+        with scoring_during_training(f"round {round_idx}"):
+            recalls = federated_recalls(model, eval_population, (1, 3))
         top1, stderr, top3 = recalls[1].recall, recalls[1].stderr, recalls[3].recall
     else:
         top1 = top3 = float("nan")

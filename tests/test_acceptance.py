@@ -34,12 +34,10 @@ from fedlm.corpus import (
     ClientShard,
     CorpusSplit,
     build_vocab,
-    partition_clients,
-    split,
     synthesize_corpus,
     tokenize,
 )
-from fedlm.evaluate import jackknife_recall, multi_k_stats, write_metrics_csv
+from fedlm.evaluate import jackknife_recall, recall_topk, write_metrics_csv
 from fedlm.fedavg import (
     ClientUpdate,
     FedConfig,
@@ -49,13 +47,8 @@ from fedlm.fedavg import (
     run_federated,
 )
 from fedlm.ngram import backoff_probs, oracle_predict, predict_topk_ngram, train_ngram
-from fedlm.nn_core import (
-    derive_seed,
-    finite_diff_grad,
-    make_optimizer,
-    nesterov_step,
-    rng_for,
-)
+from fedlm.nn_core import finite_diff_grad, make_optimizer, nesterov_step, rng_for
+from fedlm.pipeline import run_desk
 
 
 @contextmanager
@@ -70,59 +63,21 @@ def criterion(results, idx, label):
 
 
 # ---------------------------------------------------------------------------
-# Desk-scale experiment (criteria 9-11): run the full pipeline twice.
-
-DESK_CORPUS_SEED = 20260819
-DESK_SPLIT_SEED = 101
-DESK_D, DESK_H = 16, 32
+# Desk-scale experiment (criteria 9-11): the full profile of
+# scripts/desk_experiment.py, run twice through the same pipeline.run_desk.
 
 
 def run_desk_pipeline(tmp_dir, tag):
     t0 = time.perf_counter()
-    raw = synthesize_corpus(3, 500, 60000, seed=DESK_CORPUS_SEED)
-    vocab = build_vocab(raw, 503)
-    toks = [tokenize(s, vocab) for s in raw]
-    data = split(toks, (5 / 6, 1 / 12, 1 / 12), seed=DESK_SPLIT_SEED)
-    assert (len(data.train), len(data.eval)) == (50000, 5000)
-    mcfg = CifgConfig(V=vocab.V, D=DESK_D, H=DESK_H)
-
-    central_model, central_rows = train_centralized(
-        init_model(mcfg, seed=5),
-        data,
-        CentralConfig(lr=0.5, batch_size=50, max_steps=20000, eval_every=2000, seed=33),
-    )
-
-    population = partition_clients(data.train, 50, 400, derive_seed(77, "train-clients"))
-    eval_population = partition_clients(data.eval, 10, 500, derive_seed(77, "eval-clients"))
-    fed_model, fed_rows = run_federated(
-        population,
-        FedConfig(
-            clients_per_round_min=5, clients_per_round_max=10, client_lr=0.5,
-            client_batch_size=50, client_epochs=1, total_rounds=300,
-            eligibility_prob=1.0, seed=77, server_lr=1.0, server_momentum=0.9,
-            eval_every=50,
-        ),
-        mcfg,
-        eval_population=eval_population,
-    )
+    run = run_desk("full")
     elapsed = time.perf_counter() - t0
-
-    central_csv = tmp_dir / f"central-{tag}.csv"
-    fed_csv = tmp_dir / f"federated-{tag}.csv"
-    write_metrics_csv(central_csv, central_rows)
-    write_metrics_csv(fed_csv, fed_rows)
-    return SimpleNamespace(
-        vocab=vocab, data=data, mcfg=mcfg,
-        central_model=central_model, central_rows=central_rows,
-        fed_model=fed_model, fed_rows=fed_rows,
-        central_csv=central_csv.read_bytes(), fed_csv=fed_csv.read_bytes(),
-        eval_population=eval_population, elapsed=elapsed,
-    )
-
-
-def flat_recalls(predictor, data):
-    hits, positions = multi_k_stats(predictor, data, (1, 3))
-    return hits[1] / positions, hits[3] / positions
+    assert (len(run.data.train), len(run.data.eval)) == (50000, 5000)
+    csv = {}
+    for arm, rows in (("central", run.central_rows), ("federated", run.fed_rows)):
+        write_metrics_csv(tmp_dir / f"{arm}-{tag}.csv", rows)
+        csv[arm] = (tmp_dir / f"{arm}-{tag}.csv").read_bytes()
+    csv["compare"] = run.report.as_csv().encode()
+    return SimpleNamespace(run=run, csv=csv, elapsed=elapsed)
 
 
 @pytest.fixture(scope="session")
@@ -130,32 +85,20 @@ def desk(tmp_path_factory):
     tmp_dir = tmp_path_factory.mktemp("desk")
     first = run_desk_pipeline(tmp_dir, "pass1")
     second = run_desk_pipeline(tmp_dir, "pass2")
-
-    data, vocab = first.data, first.vocab
-    unigram = train_ngram(data.train, 1, 0.75, vocab.V)
-    trigram = train_ngram(data.train, 3, 0.75, vocab.V)
-    recalls = {
-        "central": flat_recalls(first.central_model, data.eval),
-        "federated": flat_recalls(first.fed_model, data.eval),
-        "unigram": flat_recalls(unigram, data.eval),
-        "trigram": flat_recalls(trigram, data.eval),
-    }
+    run = first.run
+    models = {"central-cifg": run.central_model, "federated-cifg": run.fed_model,
+              "trigram": run.trigram, "unigram": run.unigram}
     # exhaustive candidate scan over the whole eval split for the masking
     # criterion: smallest id ever offered by each model at k=3
     min_candidate = {}
-    for name, model in (
-        ("central", first.central_model), ("federated", first.fed_model),
-        ("unigram", unigram), ("trigram", trigram),
-    ):
-        lowest = vocab.V
-        for rows in model.topk_candidates(data.eval, 3):
+    for name, model in models.items():
+        lowest = run.vocab.V
+        for rows in model.topk_candidates(run.data.eval, 3):
             if rows.size:
                 lowest = min(lowest, int(rows.min()))
         min_candidate[name] = lowest
-    return SimpleNamespace(
-        first=first, second=second, unigram=unigram, trigram=trigram,
-        recalls=recalls, min_candidate=min_candidate,
-    )
+    return SimpleNamespace(first=first, second=second, run=run,
+                           recalls=dict(run.report.rows), min_candidate=min_candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +322,9 @@ def test_c08_ngram_matches_oracle_exhaustively(acceptance_log):
 
 def test_c09_trained_models_beat_unigram(acceptance_log, desk):
     with criterion(acceptance_log, 9, "desk-scale run: both recurrent models beat unigram by 5+ points") as log:
-        u1, u3 = desk.recalls["unigram"]
-        c1, c3 = desk.recalls["central"]
-        f1, f3 = desk.recalls["federated"]
+        u1 = desk.recalls["unigram"][1]
+        c1 = desk.recalls["central-cifg"][1]
+        f1 = desk.recalls["federated-cifg"][1]
         log.detail = (
             f"top-1 unigram {u1:.3f}, central {c1:.3f}, federated {f1:.3f}; "
             f"{desk.first.elapsed:.0f}s"
@@ -389,9 +332,9 @@ def test_c09_trained_models_beat_unigram(acceptance_log, desk):
         assert c1 >= u1 + 0.05
         assert f1 >= u1 + 0.05
         # top-3 never below top-1: final evaluations and every metrics row
-        for top1, top3 in desk.recalls.values():
-            assert top3 >= top1
-        for row in desk.first.central_rows + desk.first.fed_rows:
+        for recalls in desk.recalls.values():
+            assert recalls[3] >= recalls[1]
+        for row in desk.run.central_rows + desk.run.fed_rows:
             assert row.top3 >= row.top1
         assert desk.first.elapsed < 1800.0
 
@@ -402,10 +345,9 @@ def test_c10_special_tokens_never_offered(acceptance_log, desk):
             f"special token offered: {desk.min_candidate}"
         )
         # adversarial model whose logits love the special tokens
-        cfg = desk.first.mcfg
-        hostile = init_model(cfg, seed=3)
+        hostile = init_model(desk.run.model_config, seed=3)
         hostile.W[:, :3] = 8.0  # specials get by far the largest logits
-        sample = desk.first.data.eval[:200]
+        sample = desk.run.data.eval[:200]
         lowest = min(int(rows.min()) for rows in topk_candidates(hostile, sample, 3))
         assert lowest >= 3
         direct = hostile.predict_topk([0], 5)
@@ -416,12 +358,9 @@ def test_c10_special_tokens_never_offered(acceptance_log, desk):
 def test_c11_reruns_are_byte_identical(acceptance_log, desk, degenerate):
     with criterion(acceptance_log, 11, "metrics files identical across reruns") as log:
         assert degenerate.csv1 == degenerate.csv2
-        assert desk.first.central_csv == desk.second.central_csv
-        assert desk.first.fed_csv == desk.second.fed_csv
-        log.detail = (
-            f"central {len(desk.first.central_csv)}B, federated {len(desk.first.fed_csv)}B, "
-            f"degenerate {len(degenerate.csv1)}B"
-        )
+        assert desk.first.csv == desk.second.csv  # central and federated metrics, compare report
+        sizes = ", ".join(f"{name} {len(data)}B" for name, data in desk.first.csv.items())
+        log.detail = f"{sizes}, degenerate {len(degenerate.csv1)}B"
 
 
 def test_c12_jackknife_error_bars(acceptance_log):
@@ -456,7 +395,7 @@ def test_c12_jackknife_error_bars(acceptance_log):
 
 
 def test_quantized_model_recall_stays_close(desk):
-    q = dequantize(quantize(desk.first.central_model))
-    top1_q, _ = flat_recalls(q, desk.first.data.eval)
-    top1_f, _ = desk.recalls["central"]
+    q = dequantize(quantize(desk.run.central_model))
+    top1_q = recall_topk(q, desk.run.data.eval, 1)
+    top1_f = desk.recalls["central-cifg"][1]
     assert abs(top1_q - top1_f) < 0.005

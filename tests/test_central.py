@@ -101,13 +101,13 @@ class TestTrainingLoop:
         assert rows[-1].top1 >= 0.9
         assert rows[-1].top3 >= rows[-1].top1
 
+    @pytest.mark.filterwarnings("error")  # divergence ends in the error alone, no numpy warnings
     def test_divergence_aborts_instead_of_training_on_garbage(self):
         data = random_split(9, n=10)
         cfg = CifgConfig(V=12, D=4, H=4)
         config = CentralConfig(lr=1e8, batch_size=10, max_steps=50, eval_every=50, seed=1)
-        with np.errstate(all="ignore"):
-            with pytest.raises(FloatingPointError, match="non-finite"):
-                train_centralized(init_model(cfg, seed=2, dtype=np.float64), data, config)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            train_centralized(init_model(cfg, seed=2, dtype=np.float64), data, config)
 
     def test_empty_train_split_rejected(self):
         data = CorpusSplit(train=[], test=[], eval=[], seed=0)

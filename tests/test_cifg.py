@@ -501,3 +501,17 @@ class TestCheckpointIO:
             load_checkpoint(qp)
         with pytest.raises(ValueError, match="magic"):
             load_quantized(fp)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_are_neither_written_nor_read(self, tmp_path, bad):
+        cfg = CifgConfig(V=12, D=3, H=3)
+        model = init_model(cfg, seed=2)
+        model.Uo[1, 2] = bad
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="non-finite weights"):
+            save_checkpoint(path, model)
+        assert not path.exists()
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIII", 1, 12, 3, 3)
+                         + model.params.astype("<f4").tobytes())
+        with pytest.raises(ValueError, match="non-finite weights"):
+            load_checkpoint(path)

@@ -50,6 +50,20 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_diverging(argv, lr_flag, capsys):
+    """Run a trainer at lr 1e8; it must end in one stderr line, exit 2, no
+    files. Callers turn warnings into errors, so a numpy warning fails too."""
+    run(GEN, capsys)
+    argv = argv.copy()
+    argv[argv.index(lr_flag) + 1] = "1e8"
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fedlm: ") and err.count("\n") == 1
+    assert "non-finite" in err
+    assert not os.path.exists(argv[argv.index("--checkpoint") + 1])
+
+
 class TestGen:
     def test_writes_requested_sentence_count(self, workdir, capsys):
         code, out, _ = run(GEN, capsys)
@@ -99,15 +113,11 @@ class TestTrainServer:
         assert code == 2
         assert "not found" in err
 
+    @pytest.mark.filterwarnings("error")
     def test_divergent_learning_rate_is_a_runtime_error(self, workdir, capsys):
-        run(GEN, capsys)
         argv = TRAIN.copy()
-        argv[argv.index("--lr") + 1] = "1e8"
         argv[argv.index("--steps") + 1] = "40"
-        with np.errstate(all="ignore"):
-            code, _, err = run(argv, capsys)
-        assert code == 2
-        assert "non-finite" in err
+        run_diverging(argv, "--lr", capsys)
 
 
 class TestTrainFederated:
@@ -140,6 +150,10 @@ class TestTrainFederated:
         first = (workdir / "fmet.csv").read_bytes()
         assert run(FED, capsys)[0] == 0
         assert (workdir / "fmet.csv").read_bytes() == first
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergent_client_learning_rate_is_a_runtime_error(self, workdir, capsys):
+        run_diverging(FED, "--client-lr", capsys)
 
 
 class TestEvalAndCompare:
@@ -227,7 +241,19 @@ def _trailing_bytes(data):
     return data + b"\x00" * 3
 
 
-@pytest.mark.parametrize("damage", [_cut_in_header, _absurd_dims, _trailing_bytes])
+# The first float after the header is W[0, 0] in a float checkpoint and the
+# first tensor's scale in an int8 one; the second is W[0, 1] or its zero point.
+def _nan_first_float(data):
+    return data[:20] + struct.pack("<f", float("nan")) + data[24:]
+
+
+def _inf_second_float(data):
+    return data[:24] + struct.pack("<f", float("inf")) + data[28:]
+
+
+@pytest.mark.parametrize(
+    "damage", [_cut_in_header, _absurd_dims, _trailing_bytes, _nan_first_float, _inf_second_float]
+)
 @pytest.mark.parametrize("quantized", [False, True], ids=["float", "int8"])
 def test_eval_of_a_malformed_checkpoint_is_one_line_and_exit_2(workdir, capsys, quantized, damage):
     run(GEN, capsys)
@@ -241,6 +267,19 @@ def test_eval_of_a_malformed_checkpoint_is_one_line_and_exit_2(workdir, capsys, 
     assert code == 2
     assert out == ""
     assert err.startswith("fedlm: ") and err.count("\n") == 1
+
+
+def test_eval_with_a_repeated_vocab_word_is_one_line_and_exit_2(workdir, capsys):
+    run(GEN, capsys)
+    assert run(TRAIN, capsys)[0] == 0
+    lines = (workdir / "v.txt").read_text().splitlines()
+    lines[-1] = lines[-2]  # same size, one word twice
+    (workdir / "v.txt").write_text("\n".join(lines) + "\n")
+    code, out, err = run(["eval", "--checkpoint", "m.ckpt", "--vocab", "v.txt", "--data", "tiny.txt"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fedlm: ") and err.count("\n") == 1
+    assert "repeats a word" in err
 
 
 class TestQuantizeCommand:

@@ -249,3 +249,12 @@ def test_vocab_file_bad_header(tmp_path):
     path.write_text("not-a-header\nword\n")
     with pytest.raises(ValueError):
         load_vocab(path)
+
+
+@pytest.mark.parametrize("text", ["#V=6\nw1\nw2\nw1\n", "#V=5\nw1\n<unk>\n"],
+                         ids=["repeated-word", "special-token"])
+def test_vocab_file_with_a_colliding_word_is_rejected(tmp_path, text):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="repeats a word or lists a special token"):
+        load_vocab(path)

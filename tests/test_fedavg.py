@@ -132,15 +132,16 @@ class TestClientRound:
         with pytest.raises(ValueError, match="empty"):
             client_round(model, ClientShard(client_id=0, sentences=[]), FedConfig())
 
+    @pytest.mark.filterwarnings("error")
     def test_divergence_names_the_client(self):
         model, shard = self.make()
         # an absurd step size grows the weights multiplicatively until the
-        # logits overflow; the loop must abort with a diagnosable error
+        # logits overflow; the loop must abort with a diagnosable error and
+        # no numpy warnings
         cfg = FedConfig(clients_per_round_min=1, clients_per_round_max=1,
                         client_lr=1e9, client_batch_size=2, client_epochs=40, seed=2)
-        with np.errstate(all="ignore"):
-            with pytest.raises(FloatingPointError, match="client 7"):
-                client_round(model, shard, cfg)
+        with pytest.raises(FloatingPointError, match="client 7"):
+            client_round(model, shard, cfg)
 
 
 class TestAggregation:
