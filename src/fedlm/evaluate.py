@@ -10,9 +10,9 @@ appears among the k highest-probability candidates, with the conventions:
   automatic misses (the masked UNK token can never be offered);
 * the beginning-of-sentence token is never a target.
 
-Any predictor works: the fast path uses a `topk_candidates(seqs, k)` method
-returning ordered candidate-id rows per position, falling back to per-prefix
-`predict_topk(context, k)` calls.
+Any predictor with a `topk_candidates(seqs, k)` method works: it returns,
+per sequence, the ordered candidate-id rows of every position, computed in
+one batched pass.
 """
 
 from __future__ import annotations
@@ -57,19 +57,6 @@ def write_metrics_csv(path, rows: list, include_timing: bool = False) -> None:
             )
 
 
-def _candidate_rows(predictor, data: list, k: int):
-    """Yield (sequence, per-position ordered candidate rows)."""
-    if hasattr(predictor, "topk_candidates"):
-        yield from zip(data, predictor.topk_candidates(data, k))
-    else:
-        for seq in data:
-            rows = [
-                [wid for wid, _ in predictor.predict_topk(seq[:j], k)]
-                for j in range(1, len(seq))
-            ]
-            yield seq, rows
-
-
 def multi_k_stats(predictor, data: list, ks: tuple) -> tuple:
     """(hits per k, scored positions) in one pass.
 
@@ -79,7 +66,7 @@ def multi_k_stats(predictor, data: list, ks: tuple) -> tuple:
     kmax = max(ks)
     hits = {k: 0 for k in ks}
     positions = 0
-    for seq, cands in _candidate_rows(predictor, data, kmax):
+    for seq, cands in zip(data, predictor.topk_candidates(data, kmax)):
         for idx in range(len(seq) - 1):
             target = seq[idx + 1]
             if target == BOS_ID or target == EOS_ID:

@@ -13,12 +13,18 @@ exactly the weighted average of client weights (pure FederatedAveraging);
 the degenerate single-client, full-batch configuration then reproduces
 centralized SGD step for step, which is the key correctness lever the tests
 pull on.
+
+Both arms train with `sgd_steps`, the one minibatch-SGD loop, and write
+their metrics rows with `eval_row`; the centralized arm scores its eval split
+as one held-out cache, so its `top1_stderr` is 0.0.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -91,6 +97,35 @@ def sample_clients(population: list, round_idx: int, config: FedConfig) -> list:
     return [population[i] for i in sorted(chosen)]
 
 
+def sgd_steps(model: CifgModel, sentences: list, batch_size: int, lr: float, seed: int, tags: tuple, where: str):
+    """The one minibatch-SGD loop, run by client_round and
+    central.train_centralized for as many steps as they take from it.
+
+    Epoch e visits the non-empty sentences in the order
+    rng_for(seed, *tags, e).permutation(n), in consecutive slices of
+    batch_size; each step yields (model after it, batch, loss), and lr 0 only
+    measures the loss. A loss that is non-finite or above 100 ln V (a uniform
+    model scores ln V) raises FloatingPointError naming the step and where.
+    """
+    limit = 100 * math.log(model.config.V)
+    step = 0
+    for epoch in count():
+        order = rng_for(seed, *tags, epoch).permutation(len(sentences))
+        for start in range(0, len(sentences), batch_size):
+            batch = [sentences[i] for i in order[start : start + batch_size]]
+            step += 1
+            with np.errstate(all="ignore"):  # divergence is reported by the loss check
+                loss, grads = loss_and_grads(model, batch)
+                if not loss <= limit:  # NaN fails the comparison too
+                    raise FloatingPointError(
+                        f"non-finite or runaway training loss {loss:.3g} at step {step} of {where} "
+                        f"(limit 100 ln V = {limit:.4g})"
+                    )
+                if lr > 0:
+                    model = CifgModel(model.config, sgd_step(model.params, grads.params, lr))
+            yield model, batch, loss
+
+
 def client_round(global_model: CifgModel, shard: ClientShard, config: FedConfig, round_idx: int = 0) -> ClientUpdate:
     """Local training on one shard: client_epochs shuffled passes in
     minibatches of client_batch_size, plain SGD at client_lr, starting from
@@ -99,21 +134,12 @@ def client_round(global_model: CifgModel, shard: ClientShard, config: FedConfig,
     """
     if shard.n_k < 1:
         raise ValueError("client shard is empty")
+    steps = sgd_steps(global_model, shard.sentences, config.client_batch_size, config.client_lr, config.seed,
+                      ("client", shard.client_id, round_idx), f"client {shard.client_id}, round {round_idx}")
     current = global_model
     losses = []
-    for epoch in range(config.client_epochs):
-        order = rng_for(config.seed, "client", shard.client_id, round_idx, epoch).permutation(shard.n_k)
-        for start in range(0, shard.n_k, config.client_batch_size):
-            batch = [shard.sentences[i] for i in order[start : start + config.client_batch_size]]
-            with np.errstate(all="ignore"):  # divergence is reported by the finite-loss check
-                loss, grads = loss_and_grads(current, batch)
-                if not np.isfinite(loss):
-                    raise FloatingPointError(
-                        f"non-finite loss on client {shard.client_id}, round {round_idx}"
-                    )
-                if config.client_lr > 0:
-                    current = CifgModel(current.config, sgd_step(current.params, grads.params, config.client_lr))
-            losses.append(loss)
+    for current, _, loss in islice(steps, config.client_epochs * math.ceil(shard.n_k / config.client_batch_size)):
+        losses.append(loss)
     return ClientUpdate(
         client_id=shard.client_id,
         weights=current.params,
@@ -188,16 +214,21 @@ def federated_eval(model: CifgModel, eval_population: list, k: int) -> Jackknife
     return federated_recalls(model, eval_population, (k,))[k]
 
 
-def _eval_row(model, eval_population, phase, round_idx, examples, loss, t0) -> MetricsRow:
-    if eval_population:
-        with scoring_during_training(f"round {round_idx}"):
-            recalls = federated_recalls(model, eval_population, (1, 3))
-        top1, stderr, top3 = recalls[1].recall, recalls[1].stderr, recalls[3].recall
-    else:
-        top1 = top3 = float("nan")
-        stderr = 0.0
+def eval_row(model, caches: list, phase: str, index: int, examples: int, loss: float, t0: float) -> MetricsRow:
+    """The one builder of metrics rows, for both arms: top-1/top-3 recall
+    pooled over the held-out caches, with the jackknife stderr of top-1 (0.0
+    from a single cache). Recalls are NaN when no cache holds a scored
+    position. index is the step (central) or round (federated)."""
+    unit = "step" if phase == "central" else "round"
+    with scoring_during_training(f"{unit} {index}"):
+        stats = _per_client_k_stats(model, caches, (1, 3))
+    top1 = top3 = float("nan")
+    stderr = 0.0
+    if any(positions for _, positions in stats):
+        r1, r3 = (jackknife_recall([(hits[k], pos) for hits, pos in stats]) for k in (1, 3))
+        top1, stderr, top3 = r1.recall, r1.stderr, r3.recall
     return MetricsRow(
-        phase=phase, step_or_round=round_idx, examples_seen=examples, loss=loss,
+        phase=phase, step_or_round=index, examples_seen=examples, loss=loss,
         top1=top1, top3=top3, top1_stderr=stderr,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
@@ -207,21 +238,22 @@ def run_federated(
     population: list,
     fed_config: FedConfig,
     model_config: CifgConfig,
-    eval_population: list = None,
+    eval_population: list = (),
     initial_model: CifgModel = None,
-    dtype=np.float32,
     on_round=None,
 ) -> tuple:
     """The round loop: sample → local train → aggregate → server update.
 
     eval_population supplies held-out client shards for the periodic
     federated evaluation rows (round 0 is always evaluated so improvement
-    over initialization is visible). on_round, when given, observes each
-    post-update ServerState — the protocol equivalence tests use it to walk
-    the model sequence without re-running rounds.
+    over initialization is visible). Without initial_model the global model
+    starts from a float32 init seeded by derive_seed(seed, "global-init").
+    on_round, when given, observes each post-update ServerState — the
+    protocol equivalence tests use it to walk the model sequence without
+    re-running rounds.
     """
     if initial_model is None:
-        initial_model = init_model(model_config, derive_seed(fed_config.seed, "global-init"), dtype=dtype)
+        initial_model = init_model(model_config, derive_seed(fed_config.seed, "global-init"))
     opt = make_optimizer(
         "nesterov", fed_config.server_lr, fed_config.server_momentum,
         param_count(model_config), dtype=initial_model.dtype,
@@ -229,7 +261,7 @@ def run_federated(
     state = ServerState(round=0, global_model=initial_model, opt=opt)
 
     t0 = time.perf_counter()
-    rows = [_eval_row(state.global_model, eval_population, "federated", 0, 0, float("nan"), t0)]
+    rows = [eval_row(state.global_model, eval_population, "federated", 0, 0, float("nan"), t0)]
     examples = 0
     for round_idx in range(fed_config.total_rounds):
         cohort = sample_clients(population, round_idx, fed_config)
@@ -244,6 +276,6 @@ def run_federated(
         finished = round_idx + 1
         if finished % fed_config.eval_every == 0 or finished == fed_config.total_rounds:
             rows.append(
-                _eval_row(state.global_model, eval_population, "federated", finished, examples, mean_loss, t0)
+                eval_row(state.global_model, eval_population, "federated", finished, examples, mean_loss, t0)
             )
     return state.global_model, rows

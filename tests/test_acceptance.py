@@ -118,7 +118,6 @@ def run_degenerate_federated(sentences, mcfg, m0, tmp_dir, tag):
         mcfg,
         eval_population=[shard],
         initial_model=m0,
-        dtype=np.float64,
         on_round=lambda s: states.append(flatten(s.global_model)),
     )
     path = tmp_dir / f"degenerate-{tag}.csv"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fedlm.central import CentralConfig, train_centralized
-from fedlm.cifg import CifgConfig, flatten, init_model, loss_and_grads
+from fedlm.cifg import CifgConfig, flatten, init_model, loss_and_grads, unflatten
 from fedlm.corpus import CorpusSplit, build_vocab, tokenize
-from fedlm.nn_core import rng_for
+from fedlm.nn_core import rng_for, sgd_step
 
 
 def memorization_split():
@@ -59,6 +59,24 @@ class TestTrainingLoop:
         np.testing.assert_array_equal(flatten(trained), expected)
         assert rows[-1].step_or_round == 1
         assert rows[-1].examples_seen == len(data.train)
+
+    def test_steps_across_an_epoch_boundary_replay_hand_sliced_batches(self):
+        # 7 sentences in batches of 3: slices 3, 3, 1 of epoch 0, then 3, 3 of epoch 1
+        data = random_split(15, n=7)
+        cfg = CifgConfig(V=12, D=4, H=5)
+        model = init_model(cfg, seed=4, dtype=np.float64)
+        w = flatten(model)
+        for epoch, starts in ((0, (0, 3, 6)), (1, (0, 3))):
+            order = rng_for(9, "shuffle", epoch).permutation(7)
+            for start in starts:
+                batch = [data.train[i] for i in order[start : start + 3]]
+                _, grads = loss_and_grads(unflatten(cfg, w), batch)
+                w = sgd_step(w, flatten(grads), 0.25)
+
+        config = CentralConfig(lr=0.25, batch_size=3, max_steps=5, eval_every=5, seed=9)
+        trained, rows = train_centralized(model, data, config)
+        np.testing.assert_array_equal(flatten(trained), w)
+        assert rows[-1].examples_seen == 3 + 3 + 1 + 3 + 3
 
     def test_same_seed_is_bitwise_deterministic(self):
         data = random_split(5)
@@ -132,6 +150,16 @@ class TestTrainingLoop:
         config = CentralConfig(lr=0.01, batch_size=3, max_steps=2, eval_every=2, seed=0)
         _, rows = train_centralized(init_model(cfg, seed=1, dtype=np.float64), data, config)
         assert np.isnan(rows[-1].top1) and np.isnan(rows[-1].top3)
+
+    def test_eval_split_with_nothing_scored_reports_nan_recalls(self):
+        # a [BOS, EOS] sentence has no scored position, as in run_federated's rows
+        data = random_split(13, n=6)
+        data = CorpusSplit(train=data.train, test=[], eval=[[0, 1]], seed=0)
+        cfg = CifgConfig(V=12, D=3, H=3)
+        config = CentralConfig(lr=0.01, batch_size=3, max_steps=2, eval_every=1, seed=0)
+        _, rows = train_centralized(init_model(cfg, seed=1, dtype=np.float64), data, config)
+        assert [r.step_or_round for r in rows] == [0, 1, 2]
+        assert all(np.isnan(r.top1) and np.isnan(r.top3) and r.top1_stderr == 0.0 for r in rows)
 
 
 class TestConfigValidation:

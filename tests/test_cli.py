@@ -50,18 +50,28 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-def run_diverging(argv, lr_flag, capsys):
-    """Run a trainer at lr 1e8; it must end in one stderr line, exit 2, no
-    files. Callers turn warnings into errors, so a numpy warning fails too."""
+def run_diverging(argv, lr_flag, capsys, lr="1e8"):
+    """Run a trainer at a divergent lr; it must end in one stderr line, exit 2,
+    no files. Callers turn warnings into errors, so a numpy warning fails too.
+    Returns the stderr line."""
     run(GEN, capsys)
     argv = argv.copy()
-    argv[argv.index(lr_flag) + 1] = "1e8"
+    argv[argv.index(lr_flag) + 1] = lr
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("fedlm: ") and err.count("\n") == 1
     assert "non-finite" in err
     assert not os.path.exists(argv[argv.index("--checkpoint") + 1])
+    return err
+
+
+def with_flags(argv, **flags):
+    """argv with each --flag-name's value replaced."""
+    argv = argv.copy()
+    for name, value in flags.items():
+        argv[argv.index("--" + name.replace("_", "-")) + 1] = value
+    return argv
 
 
 class TestGen:
@@ -119,6 +129,13 @@ class TestTrainServer:
         argv[argv.index("--steps") + 1] = "40"
         run_diverging(argv, "--lr", capsys)
 
+    @pytest.mark.filterwarnings("error")
+    def test_runaway_but_finite_loss_is_a_runtime_error(self, workdir, capsys):
+        # losses 3.35, 6.5e8, 1.9e20 stay finite; the loss limit stops step 2
+        argv = with_flags(TRAIN, steps="3", eval_every="1")
+        err = run_diverging(argv, "--lr", capsys, lr="1e6")
+        assert "at step 2 of centralized training" in err
+
 
 class TestTrainFederated:
     def test_produces_federated_metrics(self, workdir, capsys):
@@ -155,6 +172,13 @@ class TestTrainFederated:
     def test_divergent_client_learning_rate_is_a_runtime_error(self, workdir, capsys):
         run_diverging(FED, "--client-lr", capsys)
 
+    @pytest.mark.filterwarnings("error")
+    def test_runaway_but_finite_client_loss_is_a_runtime_error(self, workdir, capsys):
+        # a round loss of 6.1e20 stays finite; the loss limit stops round 1's first client step
+        argv = with_flags(FED, rounds="3", eval_clients="0", client_batch_size="50")
+        err = run_diverging(argv, "--client-lr", capsys, lr="1e6")
+        assert "round 1" in err
+
 
 class TestEvalAndCompare:
     def setup_run(self, capsys):
@@ -180,6 +204,17 @@ class TestEvalAndCompare:
         )
         assert code == 0
         assert "±" in out
+
+    def test_fed_eval_of_an_empty_corpus_is_a_runtime_error(self, workdir, capsys):
+        # training rows read NaN when nothing is scored; a requested evaluation fails instead
+        self.setup_run(capsys)
+        (workdir / "empty.txt").write_text("")
+        code, out, err = run(
+            ["eval", "--checkpoint", "m.ckpt", "--vocab", "v.txt", "--data", "empty.txt", "--fed-eval"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == "fedlm: empty evaluation population\n"
 
     def test_eval_requires_data_flag(self, workdir, capsys):
         code, _, err = run(["eval", "--checkpoint", "m.ckpt"], capsys)

@@ -3,8 +3,8 @@
 Scoring conventions exercised here:
   * end-of-sentence targets are skipped entirely (never scored),
   * unknown-word targets count as scored positions but can never hit,
-  * candidate lists come from the predictor's batched path when it offers
-    one, otherwise from per-context calls.
+  * candidate lists come from the predictor's batched topk_candidates
+    method, one ordered row per position.
 
 The jackknife numbers in TestJackknife were computed by hand:
   clients (3 of 4) and (1 of 4): overall 4/8 = 0.5,
@@ -29,31 +29,13 @@ from fedlm.evaluate import (
 
 
 class ListPredictor:
-    """Always proposes the same candidate ids, via the per-context path."""
+    """Always proposes the same candidate ids at every position."""
 
     def __init__(self, ids):
         self.ids = list(ids)
-        self.calls = 0
-
-    def predict_topk(self, context, k):
-        self.calls += 1
-        return [(i, 1.0 / (r + 2)) for r, i in enumerate(self.ids[:k])]
-
-
-class BatchedListPredictor:
-    """Same candidates, but through the batched interface; the per-context
-    path is booby-trapped so the test fails if it is used."""
-
-    def __init__(self, ids):
-        self.ids = list(ids)
-
-    def predict_topk(self, context, k):  # pragma: no cover
-        raise AssertionError("batched path should have been used")
 
     def topk_candidates(self, seqs, k):
-        return [
-            np.tile(np.array(self.ids[:k]), (len(seq) - 1, 1)) for seq in seqs
-        ]
+        return [np.tile(np.array(self.ids[:k]), (len(seq) - 1, 1)) for seq in seqs]
 
 
 class TestRecall:
@@ -85,17 +67,6 @@ class TestRecall:
         hits, positions = multi_k_stats(pred, data, (1, 2, 3))
         assert positions == 3
         assert hits == {1: 1, 2: 2, 3: 3}
-
-    def test_batched_candidate_path_is_preferred(self):
-        data = [[0, 4, 1], [0, 5, 1]]
-        assert recall_topk(BatchedListPredictor([4, 5]), data, 2) == 1.0
-
-    def test_paths_agree(self):
-        data = [[0, 4, 6, 1], [0, 5, 1], [0, 2, 6, 1]]
-        for k in (1, 2, 3):
-            a = recall_topk(ListPredictor([6, 4, 5]), data, k)
-            b = recall_topk(BatchedListPredictor([6, 4, 5]), data, k)
-            assert a == b
 
     def test_empty_evaluation_rejected(self):
         pred = ListPredictor([4])

@@ -29,8 +29,8 @@ from fedlm.fedavg import (
     sample_clients,
     server_update,
 )
-from fedlm.nn_core import derive_seed, make_optimizer, rng_for
-from fedlm.cifg import loss_and_grads
+from fedlm.nn_core import derive_seed, make_optimizer, rng_for, sgd_step
+from fedlm.cifg import loss_and_grads, unflatten
 
 
 def sentences_for(seed, n, vocab=12):
@@ -107,6 +107,23 @@ class TestClientRound:
         np.testing.assert_array_equal(out.weights, flatten(model) - 0.3 * flatten(grads))
         assert out.client_id == 7
         assert out.n_k == 6
+
+    def test_epochs_replay_hand_sliced_batches(self):
+        # 7 sentences in batches of 3: slices 3, 3, 1 per epoch, reshuffled each epoch
+        model, shard = self.make(n=7)
+        cfg = FedConfig(clients_per_round_min=1, clients_per_round_max=1,
+                        client_lr=0.3, client_batch_size=3, client_epochs=2, seed=2)
+        out = client_round(model, shard, cfg, round_idx=4)
+        w, losses = flatten(model), []
+        for epoch in range(2):
+            order = rng_for(2, "client", 7, 4, epoch).permutation(7)
+            for start in (0, 3, 6):
+                batch = [shard.sentences[i] for i in order[start : start + 3]]
+                loss, grads = loss_and_grads(unflatten(self.MCFG, w), batch)
+                w = sgd_step(w, flatten(grads), 0.3)
+                losses.append(loss)
+        np.testing.assert_array_equal(out.weights, w)
+        assert out.local_loss == float(np.mean(losses))
 
     def test_zero_learning_rate_returns_broadcast_weights(self):
         model, shard = self.make()
@@ -236,6 +253,9 @@ class TestRunFederated:
             for i in range(n_clients)
         ]
 
+    def initial(self):
+        return init_model(self.MCFG, derive_seed(5, "global-init"), dtype=np.float64)
+
     def fed_cfg(self, **kw):
         base = dict(clients_per_round_min=1, clients_per_round_max=4,
                     client_lr=0.2, client_batch_size=3, client_epochs=1,
@@ -247,15 +267,15 @@ class TestRunFederated:
     def test_zero_rounds_returns_seeded_initial_model(self):
         pop = self.population()
         model, rows = run_federated(pop, self.fed_cfg(total_rounds=0), self.MCFG,
-                                    eval_population=pop[:2], dtype=np.float64)
-        expected = init_model(self.MCFG, derive_seed(5, "global-init"), dtype=np.float64)
+                                    eval_population=pop[:2])
+        expected = init_model(self.MCFG, derive_seed(5, "global-init"))
         np.testing.assert_array_equal(flatten(model), flatten(expected))
         assert len(rows) == 1 and rows[0].step_or_round == 0
 
     def test_rows_and_example_accounting(self):
         pop = self.population(n_clients=3, per=5)
         model, rows = run_federated(pop, self.fed_cfg(), self.MCFG,
-                                    eval_population=pop, dtype=np.float64)
+                                    eval_population=pop, initial_model=self.initial())
         assert [r.step_or_round for r in rows] == [0, 2, 4]
         assert rows[-1].examples_seen == 4 * 3 * 5  # rounds x clients x shard size
         assert all(r.phase == "federated" for r in rows)
@@ -263,10 +283,18 @@ class TestRunFederated:
 
     def test_bitwise_deterministic(self):
         pop = self.population()
-        m1, r1 = run_federated(pop, self.fed_cfg(), self.MCFG, dtype=np.float64)
-        m2, r2 = run_federated(pop, self.fed_cfg(), self.MCFG, dtype=np.float64)
+        m1, r1 = run_federated(pop, self.fed_cfg(), self.MCFG, initial_model=self.initial())
+        m2, r2 = run_federated(pop, self.fed_cfg(), self.MCFG, initial_model=self.initial())
         np.testing.assert_array_equal(flatten(m1), flatten(m2))
         assert [r.loss for r in r1[1:]] == [r.loss for r in r2[1:]]
+
+    def test_held_out_caches_with_nothing_scored_give_nan_rows(self):
+        # a [BOS, EOS] sentence has no scored position: rows read NaN, as central's do
+        pop = self.population()
+        _, rows = run_federated(pop, self.fed_cfg(), self.MCFG, initial_model=self.initial(),
+                                eval_population=[ClientShard(0, [[0, 1]])])
+        assert [r.step_or_round for r in rows] == [0, 2, 4]
+        assert all(np.isnan(r.top1) and np.isnan(r.top3) and r.top1_stderr == 0.0 for r in rows)
 
     def test_initial_model_is_respected(self):
         pop = self.population()
@@ -278,16 +306,15 @@ class TestRunFederated:
     def test_fully_unavailable_population_trains_nothing(self):
         pop = self.population()
         cfg = self.fed_cfg(eligibility_prob=0.0, clients_per_round_min=1)
-        model, rows = run_federated(pop, cfg, self.MCFG, dtype=np.float64)
-        expected = init_model(self.MCFG, derive_seed(5, "global-init"), dtype=np.float64)
-        np.testing.assert_array_equal(flatten(model), flatten(expected))
+        model, rows = run_federated(pop, cfg, self.MCFG, initial_model=self.initial())
+        np.testing.assert_array_equal(flatten(model), flatten(self.initial()))
         assert len(rows) == 1  # only the round-0 row
 
     def test_on_round_observes_every_closed_round(self):
         pop = self.population()
         seen = []
         run_federated(pop, self.fed_cfg(), self.MCFG, on_round=seen.append,
-                      dtype=np.float64)
+                      initial_model=self.initial())
         assert [s.round for s in seen] == [1, 2, 3, 4]
         assert all(isinstance(s, ServerState) for s in seen)
 
@@ -310,8 +337,6 @@ class TestRunFederated:
             order = rng_for(6, "client", 0, step, 0).permutation(len(sents))
             batch = [sents[i] for i in order]
             _, grads = loss_and_grads(cur, batch)
-            from fedlm.nn_core import sgd_step
-            from fedlm.cifg import unflatten
             cur = unflatten(self.MCFG, sgd_step(flatten(cur), flatten(grads), eps))
             central_states.append(flatten(cur))
 
@@ -320,8 +345,7 @@ class TestRunFederated:
                            total_rounds=rounds, server_momentum=0.0,
                            server_lr=1.0, seed=6, clients_per_round_max=1)
         run_federated(pop, cfg, self.MCFG, initial_model=m0,
-                      on_round=lambda s: fed_states.append(flatten(s.global_model)),
-                      dtype=np.float64)
+                      on_round=lambda s: fed_states.append(flatten(s.global_model)))
 
         assert len(fed_states) == rounds
         for c, f in zip(central_states, fed_states):

@@ -27,3 +27,27 @@ def test_every_traced_function_resolves():
     missing = [f"{owner.__name__}.{attr}" for owner, attr in spans.TRACED
                if not callable(vars(owner).get(attr))]
     assert missing == []
+
+
+def test_traced_training_counts_one_loss_and_one_step_per_batch():
+    """The traced layer counts come from wrappers installed on the modules
+    perfbench/spans.py lists; a training loop moved to an unlisted module
+    would make cifg.loss_and_grads and nn_core.sgd_step read zero."""
+    from fedlm import central, fedavg
+    from fedlm.cifg import CifgConfig, init_model
+    from fedlm.corpus import ClientShard, CorpusSplit
+
+    spans = load_spans()
+    sents = [[0, 3 + i % 5, 4 + i % 3, 1] for i in range(7)]
+    model = init_model(CifgConfig(V=9, D=2, H=3), seed=0)
+    cases = (  # (steps taken, run)
+        (5, lambda: central.train_centralized(
+            model, CorpusSplit(sents, [], [], 0), central.CentralConfig(lr=0.1, batch_size=3, max_steps=5))),
+        (6, lambda: fedavg.client_round(
+            model, ClientShard(0, sents), fedavg.FedConfig(client_lr=0.1, client_batch_size=3, client_epochs=2))),
+    )
+    for steps, train in cases:
+        with spans.Tracer() as tracer:
+            train()
+        assert tracer.acc["cifg.loss_and_grads.calls"] == steps
+        assert tracer.acc["nn_core.sgd_step.calls"] == steps
