@@ -18,8 +18,8 @@ from .cifg import (
 )
 from .central import CentralConfig, train_centralized
 from .corpus import Vocabulary, build_vocab, partition_clients, split, synthesize_corpus, tokenize
-from .evaluate import MetricsRow, compare_report, recall_topk, write_metrics_csv
-from .fedavg import FedConfig, aggregate, client_round, federated_eval, run_federated, sample_clients, server_update
+from .evaluate import MetricsRow, compare_report, write_metrics_csv
+from .fedavg import FedConfig, aggregate, client_round, run_federated, sample_clients, server_update
 from .ngram import NgramTable, oracle_predict, predict_topk_ngram, train_ngram
 
 __all__ = [
@@ -27,8 +27,8 @@ __all__ = [
     "predict_topk", "quantize", "dequantize", "save_checkpoint", "load_checkpoint",
     "CentralConfig", "train_centralized",
     "Vocabulary", "build_vocab", "partition_clients", "split", "synthesize_corpus", "tokenize",
-    "MetricsRow", "compare_report", "recall_topk", "write_metrics_csv",
-    "FedConfig", "aggregate", "client_round", "federated_eval", "run_federated",
+    "MetricsRow", "compare_report", "write_metrics_csv",
+    "FedConfig", "aggregate", "client_round", "run_federated",
     "sample_clients", "server_update",
     "NgramTable", "oracle_predict", "predict_topk_ngram", "train_ngram",
 ]

@@ -95,10 +95,6 @@ class CifgModel:
     def astype(self, dtype) -> "CifgModel":
         return CifgModel(self.config, self.params.astype(dtype))
 
-    # Inference conveniences; evaluation code duck-types on these.
-    def predict_topk(self, context, k):
-        return predict_topk(self, context, k)
-
     def topk_candidates(self, seqs, k):
         return topk_candidates(self, seqs, k)
 

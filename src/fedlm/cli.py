@@ -1,11 +1,14 @@
 """Command-line pipeline: corpus synthesis, centralized and federated
 training, evaluation, model comparison, and checkpoint quantization.
 
-Configuration precedence is CLI flag > config file > built-in default. The
-config file is flat `key = value` text (# starts a comment); every key is a
-RunConfig field and unknown keys are rejected, so a saved file is a complete,
-diff-able record of an experiment. All randomness descends from the single
-`seed` via component-tagged sub-seeds.
+Configuration precedence is CLI flag > config file > built-in default. A
+flag sets the RunConfig field of its name (--vocab-size sets vocab_size);
+only --steps (max_steps), gen's -o/--out (corpus) and --clients-per-round
+(both cohort bounds) are named otherwise. The config file is flat
+`key = value` text (# starts a comment); every key is a RunConfig field and
+unknown keys are rejected, so a saved file is a complete, diff-able record of
+an experiment. All randomness descends from the single `seed` via
+component-tagged sub-seeds.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
@@ -89,23 +92,20 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_TYPES = {"int": int, "float": float}  # field annotation -> value parser; other fields are strings
 
 
 def _coerce(name: str, raw: str):
     kind = _FIELDS[name].type
     try:
-        if kind == "bool" or isinstance(getattr(RunConfig, name, None), bool):
+        if kind == "bool":
             low = raw.strip().lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return _TYPES.get(kind, str)(raw)
     except ValueError as exc:
         raise UsageError(f"bad value for config key {name}: {raw!r}") from exc
 
@@ -328,97 +328,63 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int, dest="seed")
+# Every command's flags, in order. A RunConfig field name gives --name-with-dashes
+# (dest=name, typed by its annotation; a bool field is a switch storing True); a
+# (flags, kwargs) pair gives a flag named unlike its field, or not a field at all.
+_DATA = (("--data",), {"required": True, "help": "evaluation corpus file"})
+_MODEL_AND_SPLIT = ("vocab_size", "embed_dim", "hidden", "train_frac", "test_frac", "eval_frac")
+_OUTPUTS = ("corpus", "checkpoint", "vocab", "metrics")
+
+COMMANDS = {
+    "gen": ("synthesize a corpus file", (
+        "sentences", "source_order", "source_vocab",
+        (("-o", "--out"), {"dest": "corpus", "help": "output corpus path"}),
+    )),
+    "train-server": ("centralized SGD training", (
+        *_MODEL_AND_SPLIT, *_OUTPUTS, "lr", "batch_size",
+        (("--steps",), {"type": int, "dest": "max_steps"}),
+        "eval_every", "timing",
+    )),
+    "train-federated": ("simulated FederatedAveraging training", (
+        *_MODEL_AND_SPLIT, *_OUTPUTS, "clients", "mean_shard", "rounds",
+        (("--clients-per-round",), {"type": int, "dest": "clients_per_round", "help": "set min and max together"}),
+        "clients_per_round_min", "clients_per_round_max", "client_lr", "client_batch_size", "client_epochs",
+        "eligibility_prob", "server_lr", "server_momentum", "fed_eval_every", "eval_clients", "timing",
+    )),
+    "eval": ("top-k recall of a checkpoint on a corpus file", (
+        "checkpoint", "vocab", _DATA,
+        (("--fed-eval",), {"action": "store_true", "help": "evaluate over client shards with jackknife stderr"}),
+        "eval_clients",
+    )),
+    "compare": ("side-by-side recall of checkpoints and n-gram baselines", (
+        *_MODEL_AND_SPLIT,
+        (("--models",), {"required": True, "help": "comma list: checkpoint paths, 'ngram', 'unigram'"}),
+        _DATA,
+        (("--corpus",), {"dest": "corpus", "help": "training corpus (fits n-gram baselines)"}),
+        "vocab", "ngram_order", "ngram_discount",
+        (("--out",), {"help": "also write the report as CSV"}),
+    )),
+    "quantize": ("8-bit quantize a float checkpoint", (
+        "checkpoint",
+        (("--out",), {"required": True, "help": "quantized checkpoint path"}),
+    )),
+}
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vocab-size", type=int, dest="vocab_size")
-    p.add_argument("--embed-dim", type=int, dest="embed_dim")
-    p.add_argument("--hidden", type=int, dest="hidden")
-
-
-def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train-frac", type=float, dest="train_frac")
-    p.add_argument("--test-frac", type=float, dest="test_frac")
-    p.add_argument("--eval-frac", type=float, dest="eval_frac")
+def _field_flag(name: str) -> tuple:
+    kind = _FIELDS[name].type
+    kwargs = {"action": "store_const", "const": True} if kind == "bool" else {"type": _TYPES.get(kind)}
+    return ("--" + name.replace("_", "-"),), {**kwargs, "dest": name}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fedlm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="synthesize a corpus file")
-    _add_common(p)
-    p.add_argument("--sentences", type=int, dest="sentences")
-    p.add_argument("--source-order", type=int, dest="source_order")
-    p.add_argument("--source-vocab", type=int, dest="source_vocab")
-    p.add_argument("-o", "--out", dest="corpus", help="output corpus path")
-
-    p = sub.add_parser("train-server", help="centralized SGD training")
-    _add_common(p)
-    _add_model_flags(p)
-    _add_split_flags(p)
-    p.add_argument("--corpus", dest="corpus")
-    p.add_argument("--checkpoint", dest="checkpoint")
-    p.add_argument("--vocab", dest="vocab")
-    p.add_argument("--metrics", dest="metrics")
-    p.add_argument("--lr", type=float, dest="lr")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--steps", type=int, dest="max_steps")
-    p.add_argument("--eval-every", type=int, dest="eval_every")
-    p.add_argument("--timing", action="store_const", const=True, dest="timing")
-
-    p = sub.add_parser("train-federated", help="simulated FederatedAveraging training")
-    _add_common(p)
-    _add_model_flags(p)
-    _add_split_flags(p)
-    p.add_argument("--corpus", dest="corpus")
-    p.add_argument("--checkpoint", dest="checkpoint")
-    p.add_argument("--vocab", dest="vocab")
-    p.add_argument("--metrics", dest="metrics")
-    p.add_argument("--clients", type=int, dest="clients")
-    p.add_argument("--mean-shard", type=int, dest="mean_shard")
-    p.add_argument("--rounds", type=int, dest="rounds")
-    p.add_argument("--clients-per-round", type=int, dest="clients_per_round", help="set min and max together")
-    p.add_argument("--clients-per-round-min", type=int, dest="clients_per_round_min")
-    p.add_argument("--clients-per-round-max", type=int, dest="clients_per_round_max")
-    p.add_argument("--client-lr", type=float, dest="client_lr")
-    p.add_argument("--client-batch-size", type=int, dest="client_batch_size")
-    p.add_argument("--client-epochs", type=int, dest="client_epochs")
-    p.add_argument("--eligibility-prob", type=float, dest="eligibility_prob")
-    p.add_argument("--server-lr", type=float, dest="server_lr")
-    p.add_argument("--server-momentum", type=float, dest="server_momentum")
-    p.add_argument("--fed-eval-every", type=int, dest="fed_eval_every")
-    p.add_argument("--eval-clients", type=int, dest="eval_clients")
-    p.add_argument("--timing", action="store_const", const=True, dest="timing")
-
-    p = sub.add_parser("eval", help="top-k recall of a checkpoint on a corpus file")
-    _add_common(p)
-    p.add_argument("--checkpoint", dest="checkpoint")
-    p.add_argument("--vocab", dest="vocab")
-    p.add_argument("--data", required=True, help="evaluation corpus file")
-    p.add_argument("--fed-eval", action="store_true", help="evaluate over client shards with jackknife stderr")
-    p.add_argument("--eval-clients", type=int, dest="eval_clients")
-
-    p = sub.add_parser("compare", help="side-by-side recall of checkpoints and n-gram baselines")
-    _add_common(p)
-    _add_model_flags(p)
-    _add_split_flags(p)
-    p.add_argument("--models", required=True, help="comma list: checkpoint paths, 'ngram', 'unigram'")
-    p.add_argument("--data", required=True, help="evaluation corpus file")
-    p.add_argument("--corpus", dest="corpus", help="training corpus (fits n-gram baselines)")
-    p.add_argument("--vocab", dest="vocab")
-    p.add_argument("--ngram-order", type=int, dest="ngram_order")
-    p.add_argument("--ngram-discount", type=float, dest="ngram_discount")
-    p.add_argument("--out", help="also write the report as CSV")
-
-    p = sub.add_parser("quantize", help="8-bit quantize a float checkpoint")
-    _add_common(p)
-    p.add_argument("--checkpoint", dest="checkpoint")
-    p.add_argument("--out", required=True, help="quantized checkpoint path")
-
+    for command, (help_text, entries) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for entry in ((("--config",), {"help": "flat key = value config file"}), "seed", *entries):
+            flags, kwargs = _field_flag(entry) if isinstance(entry, str) else entry
+            p.add_argument(*flags, **kwargs)
     return parser
 
 

@@ -44,24 +44,9 @@ class Vocabulary:
     def V(self) -> int:
         return len(self.words)
 
-    @property
-    def bos_id(self) -> int:
-        return BOS_ID
-
-    @property
-    def eos_id(self) -> int:
-        return EOS_ID
-
-    @property
-    def unk_id(self) -> int:
-        return UNK_ID
-
     def id_of(self, word: str) -> int:
         """Id of a surface word; absent (or special) surfaces map to unk."""
         return self.index.get(word, UNK_ID)
-
-    def word_of(self, token_id: int) -> str:
-        return self.words[token_id]
 
 
 def build_vocab(corpus: list, V: int) -> Vocabulary:
@@ -92,11 +77,6 @@ def tokenize(sentence: str, vocab: Vocabulary) -> TokenSeq:
     An empty sentence becomes just [bos, eos].
     """
     return [BOS_ID] + [vocab.id_of(w) for w in sentence.lower().split()] + [EOS_ID]
-
-
-def detokenize(ids: TokenSeq, vocab: Vocabulary) -> str:
-    """Inverse of tokenize for in-vocabulary text; specials are stripped."""
-    return " ".join(vocab.word_of(i) for i in ids if i >= NUM_SPECIALS)
 
 
 def is_trainable(ids: TokenSeq) -> bool:

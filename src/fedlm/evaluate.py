@@ -91,10 +91,6 @@ def recalls_topk(predictor, data: list, ks: tuple) -> dict:
     return {k: hits[k] / positions for k in ks}
 
 
-def recall_topk(predictor, data: list, k: int) -> float:
-    return recalls_topk(predictor, data, (k,))[k]
-
-
 @contextmanager
 def scoring_during_training(where: str):
     """Scope for the trainers' periodic evaluation: a model that has diverged

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cifg import CifgConfig, CifgModel, init_model, loss_and_grads, param_count
 from .corpus import ClientShard
-from .evaluate import JackknifeResult, MetricsRow, jackknife_recall, multi_k_stats, scoring_during_training
+from .evaluate import MetricsRow, jackknife_recall, multi_k_stats, scoring_during_training
 from .nn_core import OptimizerState, derive_seed, make_optimizer, nesterov_step, rng_for, sgd_step
 
 
@@ -135,7 +135,7 @@ def client_round(global_model: CifgModel, shard: ClientShard, config: FedConfig,
     if shard.n_k < 1:
         raise ValueError("client shard is empty")
     steps = sgd_steps(global_model, shard.sentences, config.client_batch_size, config.client_lr, config.seed,
-                      ("client", shard.client_id, round_idx), f"client {shard.client_id}, round {round_idx}")
+                      ("client", shard.client_id, round_idx), f"client {shard.client_id}, round {round_idx + 1}")
     current = global_model
     losses = []
     for current, _, loss in islice(steps, config.client_epochs * math.ceil(shard.n_k / config.client_batch_size)):
@@ -210,10 +210,6 @@ def federated_recalls(model: CifgModel, eval_population: list, ks: tuple) -> dic
     return {k: jackknife_recall([(hits[k], pos) for hits, pos in stats]) for k in ks}
 
 
-def federated_eval(model: CifgModel, eval_population: list, k: int) -> JackknifeResult:
-    return federated_recalls(model, eval_population, (k,))[k]
-
-
 def eval_row(model, caches: list, phase: str, index: int, examples: int, loss: float, t0: float) -> MetricsRow:
     """The one builder of metrics rows, for both arms: top-1/top-3 recall
     pooled over the held-out caches, with the jackknife stderr of top-1 (0.0
@@ -244,10 +240,11 @@ def run_federated(
 ) -> tuple:
     """The round loop: sample → local train → aggregate → server update.
 
-    eval_population supplies held-out client shards for the periodic
-    federated evaluation rows (round 0 is always evaluated so improvement
-    over initialization is visible). Without initial_model the global model
-    starts from a float32 init seeded by derive_seed(seed, "global-init").
+    eval_population supplies held-out client shards for the evaluation rows:
+    one every eval_every rounds, one at round 0 so improvement over
+    initialization is visible, and one of the returned model at the round
+    that closed last. Without initial_model the global model starts from a
+    float32 init seeded by derive_seed(seed, "global-init").
     on_round, when given, observes each post-update ServerState — the
     protocol equivalence tests use it to walk the model sequence without
     re-running rounds.
@@ -262,7 +259,7 @@ def run_federated(
 
     t0 = time.perf_counter()
     rows = [eval_row(state.global_model, eval_population, "federated", 0, 0, float("nan"), t0)]
-    examples = 0
+    examples = finished = 0
     for round_idx in range(fed_config.total_rounds):
         cohort = sample_clients(population, round_idx, fed_config)
         if not cohort:
@@ -274,8 +271,8 @@ def run_federated(
         if on_round is not None:
             on_round(state)
         finished = round_idx + 1
-        if finished % fed_config.eval_every == 0 or finished == fed_config.total_rounds:
-            rows.append(
-                eval_row(state.global_model, eval_population, "federated", finished, examples, mean_loss, t0)
-            )
+        if finished % fed_config.eval_every == 0:
+            rows.append(eval_row(state.global_model, eval_population, "federated", finished, examples, mean_loss, t0))
+    if rows[-1].step_or_round != finished:  # the returned model has no row yet
+        rows.append(eval_row(state.global_model, eval_population, "federated", finished, examples, mean_loss, t0))
     return state.global_model, rows

@@ -35,9 +35,6 @@ class NgramTable:
     vocab_size: int
     counts: dict = field(repr=False)  # context tuple -> {next_id: count}
 
-    def predict_topk(self, context, k):
-        return predict_topk_ngram(self, context, k)
-
     def topk_candidates(self, seqs, k):
         """Ordered candidate ids at every prediction position of every
         sequence, memoized per context suffix (the distribution depends on
@@ -159,13 +156,3 @@ def oracle_predict(corpus: list, context, k: int, order: int, discount: float, v
     masked[:NUM_SPECIALS] = -1.0
     ids = np.argsort(-masked, kind="stable")[: min(k, V - NUM_SPECIALS)]
     return [int(i) for i in ids]
-
-
-def dump_table(path, table: NgramTable) -> None:
-    """Text dump `context-ids<TAB>next-id<TAB>count`, sorted, for diffing."""
-    lines = []
-    for ctx in sorted(table.counts, key=lambda c: (len(c), c)):
-        for nxt in sorted(table.counts[ctx]):
-            lines.append(f"{' '.join(map(str, ctx))}\t{nxt}\t{table.counts[ctx][nxt]}\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)

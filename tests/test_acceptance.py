@@ -23,6 +23,7 @@ from fedlm.cifg import (
     input_preactivations,
     loss_and_grads,
     param_count,
+    predict_topk,
     quantize,
     recurrent_step,
     save_quantized,
@@ -37,13 +38,13 @@ from fedlm.corpus import (
     synthesize_corpus,
     tokenize,
 )
-from fedlm.evaluate import jackknife_recall, recall_topk, write_metrics_csv
+from fedlm.evaluate import jackknife_recall, recalls_topk, write_metrics_csv
 from fedlm.fedavg import (
     ClientUpdate,
     FedConfig,
     aggregate,
     aggregation_weights,
-    federated_eval,
+    federated_recalls,
     run_federated,
 )
 from fedlm.ngram import backoff_probs, oracle_predict, predict_topk_ngram, train_ngram
@@ -349,7 +350,7 @@ def test_c10_special_tokens_never_offered(acceptance_log, desk):
         sample = desk.run.data.eval[:200]
         lowest = min(int(rows.min()) for rows in topk_candidates(hostile, sample, 3))
         assert lowest >= 3
-        direct = hostile.predict_topk([0], 5)
+        direct = predict_topk(hostile, [0], 5)
         assert min(i for i, _ in direct) >= 3
         log.detail = f"lowest candidate id {min(desk.min_candidate.values())} (specials are 0-2)"
 
@@ -368,7 +369,7 @@ def test_c12_jackknife_error_bars(acceptance_log):
         model = init_model(cfg, seed=88)
         base = random_token_batch(30, 8, seed=89)
         clones = [ClientShard(client_id=i, sentences=list(base)) for i in range(6)]
-        cloned = federated_eval(model, clones, k=3)
+        cloned = federated_recalls(model, clones, (3,))[3]
         assert cloned.stderr == 0.0
 
         def synth_clients(seed, n):
@@ -395,6 +396,6 @@ def test_c12_jackknife_error_bars(acceptance_log):
 
 def test_quantized_model_recall_stays_close(desk):
     q = dequantize(quantize(desk.run.central_model))
-    top1_q = recall_topk(q, desk.run.data.eval, 1)
+    top1_q = recalls_topk(q, desk.run.data.eval, (1,))[1]
     top1_f = desk.recalls["central-cifg"][1]
     assert abs(top1_q - top1_f) < 0.005

@@ -4,6 +4,7 @@ Each test drives main() in-process with a tiny corpus so the whole file
 stays fast. Exit-code contract: 0 success, 1 usage error, 2 runtime error.
 """
 
+import dataclasses
 import os
 import struct
 
@@ -18,7 +19,7 @@ from fedlm.cifg import (
     init_model,
     load_checkpoint,
 )
-from fedlm.cli import RunConfig, main, parse_config_file
+from fedlm.cli import COMMANDS, RunConfig, build_parser, main, parse_config_file, resolve_config
 from fedlm.corpus import load_corpus, load_vocab
 from fedlm.evaluate import CSV_HEADER
 from fedlm.nn_core import derive_seed
@@ -174,10 +175,11 @@ class TestTrainFederated:
 
     @pytest.mark.filterwarnings("error")
     def test_runaway_but_finite_client_loss_is_a_runtime_error(self, workdir, capsys):
-        # a round loss of 6.1e20 stays finite; the loss limit stops round 1's first client step
+        # a round loss of 6.1e20 stays finite; the loss limit stops the second round's
+        # first client step, and the error counts rounds from 1 as the metrics rows do
         argv = with_flags(FED, rounds="3", eval_clients="0", client_batch_size="50")
         err = run_diverging(argv, "--client-lr", capsys, lr="1e6")
-        assert "round 1" in err
+        assert "round 2" in err
 
 
 class TestEvalAndCompare:
@@ -373,6 +375,27 @@ class TestConfigResolution:
     def test_comments_and_blanks_are_ignored(self, workdir):
         (workdir / "ok.cfg").write_text("\n# comment only\nseed = 7 # trailing\n\n")
         assert parse_config_file(str(workdir / "ok.cfg")) == {"seed": 7}
+
+    def test_every_field_flag_resolves_like_its_config_key(self, workdir):
+        # one sample value per annotation; a bool flag is a switch, its key reads "true"
+        samples = {"int": "7", "float": "0.25", "str": "x.txt", "bool": "true"}
+        required = {"eval": ["--data", "d.txt"], "compare": ["--models", "ngram", "--data", "d.txt"],
+                    "quantize": ["--out", "q.q8"]}
+        kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        parser = build_parser()
+        reached = set()
+        for command, (_, entries) in COMMANDS.items():
+            base = [command, *required.get(command, [])]
+            reached |= vars(parser.parse_args(base)).keys() & kinds.keys()
+            for name in ("seed", *(entry for entry in entries if isinstance(entry, str))):
+                raw = samples[kinds[name]]
+                flag = ["--" + name.replace("_", "-")] + ([] if kinds[name] == "bool" else [raw])
+                (workdir / "one.cfg").write_text(f"{name} = {raw}\n")
+                by_flag = getattr(resolve_config(parser.parse_args(base + flag)), name)
+                by_file = getattr(resolve_config(parser.parse_args(base + ["--config", "one.cfg"])), name)
+                assert by_flag == by_file != getattr(RunConfig(), name), (command, name)
+                assert type(by_flag).__name__ == type(by_file).__name__ == kinds[name], (command, name)
+        assert reached == kinds.keys()  # every setting can be given on some command line
 
     def test_defaults_match_documented_values(self):
         cfg = RunConfig()

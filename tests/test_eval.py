@@ -23,7 +23,7 @@ from fedlm.evaluate import (
     compare_report,
     jackknife_recall,
     multi_k_stats,
-    recall_topk,
+    recalls_topk,
     write_metrics_csv,
 )
 
@@ -42,8 +42,8 @@ class TestRecall:
     def test_hand_counted_hits(self):
         pred = ListPredictor([4, 5, 6])
         data = [[0, 4, 1], [0, 5, 1]]
-        assert recall_topk(pred, data, 1) == 0.5  # only target 4 is ranked first
-        assert recall_topk(pred, data, 2) == 1.0
+        assert recalls_topk(pred, data, (1,))[1] == 0.5  # only target 4 is ranked first
+        assert recalls_topk(pred, data, (2,))[2] == 1.0
 
     def test_eos_targets_are_not_scored(self):
         pred = ListPredictor([9])
@@ -54,12 +54,12 @@ class TestRecall:
     def test_unknown_targets_count_against_recall(self):
         pred = ListPredictor([4, 2])  # even offering unk id cannot score it
         data = [[0, 2, 4, 1]]
-        assert recall_topk(pred, data, 2) == 0.5
+        assert recalls_topk(pred, data, (2,))[2] == 0.5
 
     def test_start_token_target_is_skipped(self):
         pred = ListPredictor([4])
         data = [[0, 0, 4, 1]]
-        assert recall_topk(pred, data, 1) == 1.0
+        assert recalls_topk(pred, data, (1,))[1] == 1.0
 
     def test_multi_k_is_prefix_consistent(self):
         pred = ListPredictor([7, 5, 4])
@@ -71,19 +71,19 @@ class TestRecall:
     def test_empty_evaluation_rejected(self):
         pred = ListPredictor([4])
         with pytest.raises(ValueError, match="empty evaluation"):
-            recall_topk(pred, [], 1)
+            recalls_topk(pred, [], (1,))
         with pytest.raises(ValueError, match="empty evaluation"):
-            recall_topk(pred, [[0, 1]], 1)  # EOS-only targets
+            recalls_topk(pred, [[0, 1]], (1,))  # EOS-only targets
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            recall_topk(ListPredictor([4]), [[0, 4, 1]], 0)
+            recalls_topk(ListPredictor([4]), [[0, 4, 1]], (0,))
 
     def test_shuffling_data_does_not_change_recall(self):
         data = [[0, 4, 1], [0, 5, 6, 1], [0, 2, 1], [0, 6, 6, 1]]
         pred = ListPredictor([6, 5])
-        forward = recall_topk(pred, data, 2)
-        backward = recall_topk(pred, list(reversed(data)), 2)
+        forward = recalls_topk(pred, data, (2,))[2]
+        backward = recalls_topk(pred, list(reversed(data)), (2,))[2]
         assert forward == backward
 
 

@@ -24,7 +24,7 @@ from fedlm.fedavg import (
     aggregate,
     aggregation_weights,
     client_round,
-    federated_eval,
+    federated_recalls,
     run_federated,
     sample_clients,
     server_update,
@@ -157,7 +157,7 @@ class TestClientRound:
         # no numpy warnings
         cfg = FedConfig(clients_per_round_min=1, clients_per_round_max=1,
                         client_lr=1e9, client_batch_size=2, client_epochs=40, seed=2)
-        with pytest.raises(FloatingPointError, match="client 7"):
+        with pytest.raises(FloatingPointError, match="client 7, round 1"):
             client_round(model, shard, cfg)
 
 
@@ -310,6 +310,22 @@ class TestRunFederated:
         np.testing.assert_array_equal(flatten(model), flatten(self.initial()))
         assert len(rows) == 1  # only the round-0 row
 
+    def test_final_model_is_scored_when_the_last_rounds_fail(self):
+        # rounds 0 and 2 close, 1 and 3 fail: no periodic row falls on a
+        # closed round after round 0, so the trained model gets its own row
+        # at the round that closed last
+        pop = self.population(n_clients=10, per=4)
+        cfg = FedConfig(clients_per_round_min=6, clients_per_round_max=8, total_rounds=4,
+                        eligibility_prob=0.6, eval_every=2, seed=7)
+        seen = []
+        model, rows = run_federated(pop, cfg, self.MCFG, eval_population=pop[:3],
+                                    initial_model=self.initial(), on_round=seen.append)
+        assert len(seen) == 2
+        assert [r.step_or_round for r in rows] == [0, 3]
+        assert rows[-1].examples_seen == sum(s.n_k for r in (0, 2) for s in sample_clients(pop, r, cfg))
+        recalls = federated_recalls(model, pop[:3], (1, 3))
+        assert (rows[-1].top1, rows[-1].top3) == (recalls[1].recall, recalls[3].recall)
+
     def test_on_round_observes_every_closed_round(self):
         pop = self.population()
         seen = []
@@ -359,20 +375,20 @@ class TestFederatedEval:
         model = init_model(self.MCFG, seed=0, dtype=np.float64)
         base = ClientShard(client_id=0, sentences=sentences_for(1, 5))
         pop = [ClientShard(client_id=i, sentences=list(base.sentences)) for i in range(6)]
-        result = federated_eval(model, pop, k=3)
+        result = federated_recalls(model, pop, (3,))[3]
         assert result.stderr == 0.0
         assert not result.degenerate
 
     def test_single_client_is_flagged_degenerate(self):
         model = init_model(self.MCFG, seed=0, dtype=np.float64)
         pop = [ClientShard(client_id=0, sentences=sentences_for(2, 5))]
-        result = federated_eval(model, pop, k=1)
+        result = federated_recalls(model, pop, (1,))[1]
         assert result.degenerate and result.stderr == 0.0
 
     def test_empty_population_rejected(self):
         model = init_model(self.MCFG, seed=0, dtype=np.float64)
         with pytest.raises(ValueError, match="empty evaluation population"):
-            federated_eval(model, [], k=1)
+            federated_recalls(model, [], (1,))
 
 
 class TestFedConfigValidation:

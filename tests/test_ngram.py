@@ -23,7 +23,6 @@ from fedlm.corpus import NUM_SPECIALS, build_vocab, tokenize
 from fedlm.ngram import (
     MAX_ORDER,
     backoff_probs,
-    dump_table,
     oracle_predict,
     predict_topk_ngram,
     train_ngram,
@@ -185,7 +184,7 @@ class TestPredictionInterface:
         for seq, row in zip(seqs, rows):
             assert row.shape == (len(seq) - 1, 4)
             for j in range(1, len(seq)):
-                want = [i for i, _ in table.predict_topk(seq[:j], 4)]
+                want = [i for i, _ in predict_topk_ngram(table, seq[:j], 4)]
                 assert list(row[j - 1]) == want
 
     def test_higher_order_fits_training_data_no_worse(self):
@@ -202,17 +201,3 @@ class TestPredictionInterface:
             lls.append(ll / n)
         assert lls[1] > lls[0]
         assert lls[2] >= lls[1] - 1e-9
-
-
-def test_dump_table_is_sorted_and_parseable(tmp_path):
-    table = train_ngram(HAND_CORPUS, order=2, discount=0.75, vocab_size=HAND_V)
-    path = tmp_path / "counts.tsv"
-    dump_table(path, table)
-    lines = path.read_text().splitlines()
-    parsed = {}
-    for line in lines:
-        ctx_text, nxt, count = line.split("\t")
-        ctx = tuple(int(t) for t in ctx_text.split()) if ctx_text else ()
-        parsed.setdefault(ctx, {})[int(nxt)] = int(count)
-    assert parsed == table.counts
-    assert lines == sorted(lines, key=lambda ln: (len(ln.split("\t")[0].split()), ln))
