@@ -119,13 +119,10 @@ def unflatten(config: CifgConfig, vec: np.ndarray) -> CifgModel:
 
 
 def _sigmoid(x):
-    # Split by sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # min(x, -x) is -|x|, so exp never overflows; unlike -abs(x) it returns a
+    # NaN x itself, sign bit included. Each sign takes its own stable formula.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class Step(NamedTuple):
@@ -195,33 +192,23 @@ def _batch_arrays(batch: list, V: int, dtype) -> tuple:
     return inputs, targets, mask
 
 
-def _forward_scan(model: CifgModel, inputs: np.ndarray) -> dict:
-    """Run the recurrence over (B, T) token inputs, keeping every intermediate
-    needed by the backward pass. Returns logits of shape (B, T, V)."""
+def _forward_scan(model: CifgModel, inputs: np.ndarray) -> tuple:
+    """Run the recurrence over (B, T) token inputs. Returns the embedded
+    inputs X (B, T, D), the T recurrent Steps the backward pass reads, and
+    logits of shape (B, T, V)."""
     B, T = inputs.shape
-    dtype = model.dtype
     H, D = model.config.H, model.config.D
 
     X = model.W.T[inputs.reshape(-1)].reshape(B, T, D)
     AX = input_preactivations(model, X)
 
-    Cs = [np.zeros((B, H), dtype=dtype)]
-    Rs = [np.zeros((B, D), dtype=dtype)]
-    Is, Ctils, Os, TanhCs, Hs = [], [], [], [], []
+    c, r = np.zeros((B, H), dtype=model.dtype), np.zeros((B, D), dtype=model.dtype)
+    steps = []
     for t in range(T):
-        s = recurrent_step(model, [a[:, t, :] for a in AX], Cs[t], Rs[t])
-        Cs.append(s.c)
-        Rs.append(s.r)
-        Is.append(s.i)
-        Ctils.append(s.ctil)
-        Os.append(s.o)
-        TanhCs.append(s.tanh_c)
-        Hs.append(s.h)
-    logits = np.stack(Rs[1:], axis=1) @ model.W
-    return {
-        "X": X, "Cs": Cs, "Rs": Rs, "Is": Is, "Ctils": Ctils,
-        "Os": Os, "TanhCs": TanhCs, "Hs": Hs, "logits": logits,
-    }
+        steps.append(recurrent_step(model, [a[:, t, :] for a in AX], c, r))
+        c, r = steps[-1].c, steps[-1].r
+    logits = np.stack([s.r for s in steps], axis=1) @ model.W
+    return X, steps, logits
 
 
 def _log_softmax_stats(logits: np.ndarray) -> tuple:
@@ -246,8 +233,7 @@ def loss_and_grads(model: CifgModel, batch: list) -> tuple:
     cfg = model.config
     dtype = model.dtype
     inputs, targets, mask = _batch_arrays(batch, cfg.V, dtype)
-    cache = _forward_scan(model, inputs)
-    logits = cache["logits"]
+    X, steps, logits = _forward_scan(model, inputs)
     B, T, V = logits.shape
 
     probs, lse = _log_softmax_stats(logits)
@@ -264,28 +250,28 @@ def loss_and_grads(model: CifgModel, batch: list) -> tuple:
     dW_embed = np.zeros((V, cfg.D), dtype=dtype)  # scatter buffer, (V, D)
     dc_carry = np.zeros((B, cfg.H), dtype=dtype)
     dr_carry = np.zeros((B, cfg.D), dtype=dtype)
-    X, Cs, Rs = cache["X"], cache["Cs"], cache["Rs"]
-    Is, Ctils, Os, TanhCs, Hs = cache["Is"], cache["Ctils"], cache["Os"], cache["TanhCs"], cache["Hs"]
+    c0, r0 = np.zeros((B, cfg.H), dtype=dtype), np.zeros((B, cfg.D), dtype=dtype)  # state before t = 0
 
     for t in range(T - 1, -1, -1):
+        s = steps[t]
+        c_prev, r_prev = (steps[t - 1].c, steps[t - 1].r) if t else (c0, r0)
         dlog = dlogits[:, t, :]
-        g["W"] += Rs[t + 1].T @ dlog  # output-projection path
+        g["W"] += s.r.T @ dlog  # output-projection path
         dr = dlog @ model.W.T + dr_carry
-        g["P"] += dr.T @ Hs[t]
+        g["P"] += dr.T @ s.h
         dh = dr @ model.P
 
-        do = dh * TanhCs[t]
-        da_o = do * Os[t] * (1.0 - Os[t])
-        dc = dh * Os[t] * (1.0 - TanhCs[t] ** 2) + dc_carry
+        do = dh * s.tanh_c
+        da_o = do * s.o * (1.0 - s.o)
+        dc = dh * s.o * (1.0 - s.tanh_c ** 2) + dc_carry
         # Coupled gate: i scales the candidate in and (1-i) scales the old
         # cell out, so both paths meet in one gate gradient.
-        di = dc * (Ctils[t] - Cs[t])
-        da_i = di * Is[t] * (1.0 - Is[t])
-        da_c = dc * Is[t] * (1.0 - Ctils[t] ** 2)
-        dc_carry = dc * (1.0 - Is[t])
+        di = dc * (s.ctil - c_prev)
+        da_i = di * s.i * (1.0 - s.i)
+        da_c = dc * s.i * (1.0 - s.ctil ** 2)
+        dc_carry = dc * (1.0 - s.i)
 
         x_t = X[:, t, :]
-        r_prev = Rs[t]
         for name, da in (("i", da_i), ("c", da_c), ("o", da_o)):
             g[f"W{name}"] += da.T @ x_t
             g[f"U{name}"] += da.T @ r_prev
@@ -319,7 +305,7 @@ def predict_topk(model: CifgModel, context: list, k: int) -> list:
     if not 1 <= k <= V - NUM_SPECIALS:
         raise ValueError(f"k must be in [1, {V - NUM_SPECIALS}]")
     inputs, _, _ = _batch_arrays([list(context) + [0]], V, model.dtype)
-    logits = _forward_scan(model, inputs)["logits"][0, len(context) - 1]
+    logits = _forward_scan(model, inputs)[2][0, len(context) - 1]
     probs, _ = _log_softmax_stats(logits)
     ids = _masked_topk_ids(logits, k)
     return [(int(i), float(probs[i])) for i in ids]
@@ -339,7 +325,7 @@ def topk_candidates(model: CifgModel, seqs: list, k: int, chunk: int = 256) -> l
     for start in range(0, len(seqs), chunk):
         part = seqs[start : start + chunk]
         inputs, _, _ = _batch_arrays(part, V, model.dtype)
-        logits = _forward_scan(model, inputs)["logits"]
+        logits = _forward_scan(model, inputs)[2]
         logits[:, :, :NUM_SPECIALS] = -np.inf
         # Copy the top k so each chunk's full (B, T, V) sort is freed.
         order = np.argsort(-logits, axis=-1, kind="stable")[:, :, :k].copy()

@@ -164,31 +164,28 @@ def _model_config(cfg: RunConfig, V: int) -> CifgConfig:
     return CifgConfig(V=V, D=cfg.embed_dim, H=cfg.hidden)
 
 
-def _load_model_any(path: str):
-    """Load a float checkpoint or a quantized one (dequantized on the fly)."""
+def _load_model(path: str, vocab):
+    """Load a float checkpoint or a quantized one (dequantized on the fly)
+    whose vocabulary size matches vocab's."""
     if not os.path.exists(path):
         raise CliRuntimeError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == CHECKPOINT_MAGIC:
-        return load_checkpoint(path)
-    if magic == QUANTIZED_MAGIC:
-        return dequantize(load_quantized(path))
-    raise CliRuntimeError(f"{path}: not a model checkpoint (magic {magic!r})")
-
-
-def _check_dims(model, vocab) -> None:
+    if magic not in (CHECKPOINT_MAGIC, QUANTIZED_MAGIC):
+        raise CliRuntimeError(f"{path}: not a model checkpoint (magic {magic!r})")
+    model = load_checkpoint(path) if magic == CHECKPOINT_MAGIC else dequantize(load_quantized(path))
     if model.config.V != vocab.V:
         raise CliRuntimeError(
             f"checkpoint vocabulary size {model.config.V} does not match vocab file ({vocab.V})"
         )
+    return model
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
     sentences = corpus.synthesize_corpus(cfg.source_order, cfg.source_vocab, cfg.sentences, cfg.seed)
     corpus.save_corpus(cfg.corpus, sentences)
     print(f"wrote {len(sentences)} sentences to {cfg.corpus}")
@@ -204,7 +201,7 @@ def _save_run(cfg: RunConfig, vocab, trained, rows: list, summary: str) -> int:
     return 0
 
 
-def cmd_train_server(cfg: RunConfig) -> int:
+def cmd_train_server(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab, data = _prepare(cfg)
     model = init_model(_model_config(cfg, vocab.V), derive_seed(cfg.seed, "central-init"))
     train_cfg = central.CentralConfig(
@@ -220,7 +217,7 @@ def cmd_train_server(cfg: RunConfig) -> int:
     )
 
 
-def cmd_train_federated(cfg: RunConfig) -> int:
+def cmd_train_federated(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab, data = _prepare(cfg)
     population, eval_population = pipeline.client_shards(
         data, cfg.clients, cfg.mean_shard, cfg.eval_clients, cfg.seed
@@ -238,21 +235,21 @@ def cmd_train_federated(cfg: RunConfig) -> int:
         server_momentum=cfg.server_momentum,
         eval_every=cfg.fed_eval_every,
     )
+    closed = []
     trained, rows = fedavg.run_federated(
-        population, fed_cfg, _model_config(cfg, vocab.V), eval_population=eval_population
+        population, fed_cfg, _model_config(cfg, vocab.V), eval_population=eval_population, on_round=closed.append
     )
     last = rows[-1]
     return _save_run(
         cfg, vocab, trained, rows,
-        f"ran {cfg.rounds} rounds over {len(population)} clients; "
+        f"ran {len(closed)} rounds over {len(population)} clients; "
         f"final top-1 {last.top1:.4f} ± {last.top1_stderr:.4f}, top-3 {last.top3:.4f}",
     )
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab = _load_vocab_file(cfg.vocab)
-    model = _load_model_any(cfg.checkpoint)
-    _check_dims(model, vocab)
+    model = _load_model(cfg.checkpoint, vocab)
     raw = _load_raw_corpus(args.data)
     data = [corpus.tokenize(s, vocab) for s in raw]
     if args.fed_eval:
@@ -293,9 +290,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
             table = ngram.train_ngram(ngram_train, order, cfg.ngram_discount, vocab.V)
             models.append((token, table))
         else:
-            model = _load_model_any(token)
-            _check_dims(model, vocab)
-            models.append((os.path.basename(token), model))
+            models.append((os.path.basename(token), _load_model(token, vocab)))
     if not models:
         raise UsageError("no models given")
     report = evaluate.compare_report(models, data, ks=(1, 3))
@@ -328,9 +323,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Every command's flags, in order. A RunConfig field name gives --name-with-dashes
-# (dest=name, typed by its annotation; a bool field is a switch storing True); a
-# (flags, kwargs) pair gives a flag named unlike its field, or not a field at all.
+# Every command's help text, flags in order, and handler. A RunConfig field name
+# gives --name-with-dashes (dest=name, typed by its annotation; a bool field is a
+# switch storing True); a (flags, kwargs) pair gives a flag named unlike its
+# field, or not a field at all.
 _DATA = (("--data",), {"required": True, "help": "evaluation corpus file"})
 _MODEL_AND_SPLIT = ("vocab_size", "embed_dim", "hidden", "train_frac", "test_frac", "eval_frac")
 _OUTPUTS = ("corpus", "checkpoint", "vocab", "metrics")
@@ -339,23 +335,23 @@ COMMANDS = {
     "gen": ("synthesize a corpus file", (
         "sentences", "source_order", "source_vocab",
         (("-o", "--out"), {"dest": "corpus", "help": "output corpus path"}),
-    )),
+    ), cmd_gen),
     "train-server": ("centralized SGD training", (
         *_MODEL_AND_SPLIT, *_OUTPUTS, "lr", "batch_size",
         (("--steps",), {"type": int, "dest": "max_steps"}),
         "eval_every", "timing",
-    )),
+    ), cmd_train_server),
     "train-federated": ("simulated FederatedAveraging training", (
         *_MODEL_AND_SPLIT, *_OUTPUTS, "clients", "mean_shard", "rounds",
         (("--clients-per-round",), {"type": int, "dest": "clients_per_round", "help": "set min and max together"}),
         "clients_per_round_min", "clients_per_round_max", "client_lr", "client_batch_size", "client_epochs",
         "eligibility_prob", "server_lr", "server_momentum", "fed_eval_every", "eval_clients", "timing",
-    )),
+    ), cmd_train_federated),
     "eval": ("top-k recall of a checkpoint on a corpus file", (
         "checkpoint", "vocab", _DATA,
         (("--fed-eval",), {"action": "store_true", "help": "evaluate over client shards with jackknife stderr"}),
         "eval_clients",
-    )),
+    ), cmd_eval),
     "compare": ("side-by-side recall of checkpoints and n-gram baselines", (
         *_MODEL_AND_SPLIT,
         (("--models",), {"required": True, "help": "comma list: checkpoint paths, 'ngram', 'unigram'"}),
@@ -363,11 +359,11 @@ COMMANDS = {
         (("--corpus",), {"dest": "corpus", "help": "training corpus (fits n-gram baselines)"}),
         "vocab", "ngram_order", "ngram_discount",
         (("--out",), {"help": "also write the report as CSV"}),
-    )),
+    ), cmd_compare),
     "quantize": ("8-bit quantize a float checkpoint", (
         "checkpoint",
         (("--out",), {"required": True, "help": "quantized checkpoint path"}),
-    )),
+    ), cmd_quantize),
 }
 
 
@@ -380,7 +376,7 @@ def _field_flag(name: str) -> tuple:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fedlm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, entries) in COMMANDS.items():
+    for command, (help_text, entries, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for entry in ((("--config",), {"help": "flat key = value config file"}), "seed", *entries):
             flags, kwargs = _field_flag(entry) if isinstance(entry, str) else entry
@@ -392,20 +388,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = resolve_config(args)
-        if args.command == "gen":
-            return cmd_gen(cfg)
-        if args.command == "train-server":
-            return cmd_train_server(cfg)
-        if args.command == "train-federated":
-            return cmd_train_federated(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args)
-        if args.command == "compare":
-            return cmd_compare(cfg, args)
-        if args.command == "quantize":
-            return cmd_quantize(cfg, args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command][2](resolve_config(args), args)
     except UsageError as exc:
         print(f"fedlm: {exc}", file=sys.stderr)
         return 1

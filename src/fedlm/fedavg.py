@@ -59,6 +59,8 @@ class FedConfig:
             raise ValueError("eligibility_prob must be in [0, 1]")
         if self.client_batch_size < 1 or self.client_epochs < 1:
             raise ValueError("client batch size and epochs must be at least 1")
+        if self.total_rounds < 0 or self.eval_every < 1:
+            raise ValueError("total_rounds must be >= 0 and eval_every >= 1")
 
 
 @dataclass

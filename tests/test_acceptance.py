@@ -320,6 +320,7 @@ def test_c08_ngram_matches_oracle_exhaustively(acceptance_log):
         assert worst_sum <= 1e-9
 
 
+@pytest.mark.slow  # runs the desk fixture
 def test_c09_trained_models_beat_unigram(acceptance_log, desk):
     with criterion(acceptance_log, 9, "desk-scale run: both recurrent models beat unigram by 5+ points") as log:
         u1 = desk.recalls["unigram"][1]
@@ -339,6 +340,7 @@ def test_c09_trained_models_beat_unigram(acceptance_log, desk):
         assert desk.first.elapsed < 1800.0
 
 
+@pytest.mark.slow  # runs the desk fixture
 def test_c10_special_tokens_never_offered(acceptance_log, desk):
     with criterion(acceptance_log, 10, "start/end/unknown tokens never appear in candidates") as log:
         assert all(lowest >= 3 for lowest in desk.min_candidate.values()), (
@@ -355,6 +357,7 @@ def test_c10_special_tokens_never_offered(acceptance_log, desk):
         log.detail = f"lowest candidate id {min(desk.min_candidate.values())} (specials are 0-2)"
 
 
+@pytest.mark.slow  # runs the desk fixture
 def test_c11_reruns_are_byte_identical(acceptance_log, desk, degenerate):
     with criterion(acceptance_log, 11, "metrics files identical across reruns") as log:
         assert degenerate.csv1 == degenerate.csv2
@@ -394,6 +397,7 @@ def test_c12_jackknife_error_bars(acceptance_log):
 # Supplementary end-to-end property: quantization barely moves recall.
 
 
+@pytest.mark.slow  # runs the desk fixture
 def test_quantized_model_recall_stays_close(desk):
     q = dequantize(quantize(desk.run.central_model))
     top1_q = recalls_topk(q, desk.run.data.eval, (1,))[1]

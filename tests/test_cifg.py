@@ -21,6 +21,7 @@ from fedlm.cifg import (
     CifgConfig,
     _batch_arrays,
     _forward_scan,
+    _sigmoid,
     dequantize,
     flatten,
     init_model,
@@ -113,6 +114,29 @@ class TestCellStep:
             assert np.all(np.isfinite(field))
 
 
+def sign_split_sigmoid(x):
+    """The reference formula: 1/(1+exp(-x)) where x >= 0 and exp(x)/(1+exp(x))
+    elsewhere, each evaluated only on its own entries."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(50, 32), (50, 670)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bitwise_the_sign_split_formula(dtype, shape):
+    x = (8.0 * rng_for(17, "sigmoid").standard_normal(shape)).astype(dtype)
+    specials = np.array([0.0, -0.0, 1e4, -1e4, np.inf, -np.inf, np.nan, -np.nan], dtype=dtype)
+    x.reshape(-1)[: specials.size] = specials
+    got = _sigmoid(x)
+    assert got.dtype == x.dtype and got.shape == shape
+    bits = np.uint32 if dtype == np.float32 else np.uint64
+    np.testing.assert_array_equal(got.view(bits), sign_split_sigmoid(x).view(bits))
+
+
 def test_batched_forward_matches_stepwise_recurrence():
     """The scan over a padded batch gives each sequence the logits of its
     own chain of batch-size-1 steps."""
@@ -120,7 +144,7 @@ def test_batched_forward_matches_stepwise_recurrence():
     model = random_model(cfg, 31)
     seqs = [[0, 7, 4, 11, 3, 1], [0, 9, 1], [0, 5, 5, 1]]
     inputs, _, _ = _batch_arrays(seqs, cfg.V, model.dtype)
-    logits = _forward_scan(model, inputs)["logits"]
+    _, _, logits = _forward_scan(model, inputs)
     assert logits.shape == (3, 5, cfg.V)
 
     for b, seq in enumerate(seqs):

@@ -182,6 +182,28 @@ class TestTrainFederated:
         assert "round 2" in err
 
 
+    def test_reports_only_the_rounds_that_closed(self, workdir, capsys):
+        # of 4 rounds only 0 and 2 find 6 eligible clients; the CSV's last row is round 3
+        run(GEN, capsys)
+        argv = ["train-federated", "--corpus", "tiny.txt", "--vocab-size", "40", "--embed-dim", "6",
+                "--hidden", "8", "--clients", "10", "--mean-shard", "10", "--clients-per-round-min", "6",
+                "--clients-per-round-max", "8", "--eligibility-prob", "0.6", "--rounds", "4",
+                "--fed-eval-every", "2", "--seed", "7"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out.startswith("ran 2 rounds over 10 clients; ")
+        last = (workdir / "metrics.csv").read_text().splitlines()[-1].split(",")
+        assert (last[1], last[2]) == ("3", "127")
+
+    @pytest.mark.parametrize("flag, value", [("fed_eval_every", "0"), ("rounds", "-3")])
+    def test_invalid_round_settings_are_a_runtime_error(self, workdir, capsys, flag, value):
+        run(GEN, capsys)
+        code, out, err = run(with_flags(FED, **{flag: value}), capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("fedlm: ") and err.count("\n") == 1
+        assert not os.path.exists("f.ckpt")
+
 class TestEvalAndCompare:
     def setup_run(self, capsys):
         run(GEN, capsys)
@@ -384,7 +406,7 @@ class TestConfigResolution:
         kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
         parser = build_parser()
         reached = set()
-        for command, (_, entries) in COMMANDS.items():
+        for command, (_, entries, _) in COMMANDS.items():
             base = [command, *required.get(command, [])]
             reached |= vars(parser.parse_args(base)).keys() & kinds.keys()
             for name in ("seed", *(entry for entry in entries if isinstance(entry, str))):

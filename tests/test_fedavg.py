@@ -405,6 +405,10 @@ class TestFedConfigValidation:
             FedConfig(client_batch_size=0)
         with pytest.raises(ValueError):
             FedConfig(client_epochs=0)
+        with pytest.raises(ValueError):
+            FedConfig(total_rounds=-3)
+        with pytest.raises(ValueError):
+            FedConfig(eval_every=0)
 
 
 def test_trainers_never_write_into_the_model_they_are_given():
