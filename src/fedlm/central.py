@@ -29,7 +29,7 @@ class CentralConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:  # NaN fails too
             raise ValueError("lr must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")

@@ -34,6 +34,7 @@ import numpy as np
 
 from .nn_core import init_uniform, derive_seed
 from .corpus import NUM_SPECIALS
+from .evaluate import stable_ranks
 
 CHECKPOINT_MAGIC = b"FKLM"
 QUANTIZED_MAGIC = b"FKLQ"
@@ -97,6 +98,13 @@ class CifgModel:
 
     def topk_candidates(self, seqs, k):
         return topk_candidates(self, seqs, k)
+
+    def target_ranks(self, seqs) -> np.ndarray:
+        """Rank of each target among its position's candidates, as
+        topk_candidates orders them: one int per prediction position."""
+        ranks = [stable_ranks(logits, np.array([t for s in part for t in s[1:]], dtype=np.int64))
+                 for part, logits in _real_logits(self, seqs, _CHUNK)]
+        return np.concatenate(ranks) if ranks else np.zeros(0, dtype=np.int64)
 
 
 def init_model(config: CifgConfig, seed: int, dtype=np.float32) -> CifgModel:
@@ -213,9 +221,10 @@ def _forward_scan(model: CifgModel, inputs: np.ndarray) -> tuple:
 
 def _log_softmax_stats(logits: np.ndarray) -> tuple:
     m = logits.max(axis=-1, keepdims=True)
-    z = np.exp(logits - m)
-    s = z.sum(axis=-1, keepdims=True)
-    probs = z / s
+    probs = logits - m
+    np.exp(probs, out=probs)  # one buffer for exp and the division
+    s = probs.sum(axis=-1, keepdims=True)
+    probs /= s
     lse = (m + np.log(s))[..., 0]
     return probs, lse
 
@@ -242,8 +251,9 @@ def loss_and_grads(model: CifgModel, batch: list) -> tuple:
     loss = float(((lse - gathered) * mask).sum() / n_pos)
 
     coeff = mask / n_pos  # per-position weight of the mean
-    dlogits = probs * coeff[..., None]
-    np.subtract.at(dlogits, (np.arange(B)[:, None], np.arange(T)[None, :], targets), coeff)
+    dlogits = probs  # scaled in place; each (b, t) has one target, so -= needs no ufunc.at
+    dlogits *= coeff[..., None]
+    dlogits[np.arange(B)[:, None], np.arange(T)[None, :], targets] -= coeff
 
     grads = CifgModel(cfg, np.zeros(param_count(cfg), dtype=dtype))
     g = {n: getattr(grads, n) for n in TENSOR_ORDER}
@@ -311,26 +321,36 @@ def predict_topk(model: CifgModel, context: list, k: int) -> list:
     return [(int(i), float(probs[i])) for i in ids]
 
 
-def topk_candidates(model: CifgModel, seqs: list, k: int, chunk: int = 256) -> list:
+_CHUNK = 256  # sentences per padded inference pass
+
+
+def _real_logits(model: CifgModel, seqs: list, chunk: int):
+    """Per padded chunk of seqs, (chunk, logits of its real positions in
+    sequence order, (n, V), specials at -inf). The logits come from the
+    padded pass: a product over fewer rows can round differently."""
+    for start in range(0, len(seqs), chunk):
+        part = seqs[start : start + chunk]
+        inputs, _, mask = _batch_arrays(part, model.config.V, model.dtype)
+        logits = _forward_scan(model, inputs)[2][mask > 0]
+        logits[:, :NUM_SPECIALS] = -np.inf
+        yield part, logits
+
+
+def topk_candidates(model: CifgModel, seqs: list, k: int, chunk: int = _CHUNK) -> list:
     """Batched top-k candidate ids at every prediction position.
 
     Returns one (len(seq)-1, k) int array per sequence; row t is the ordered
     candidate list for the target at position t+1. Special tokens never
-    appear. This is the fast path recall evaluation uses.
+    appear.
     """
     V = model.config.V
     if not 1 <= k <= V - NUM_SPECIALS:
         raise ValueError(f"k must be in [1, {V - NUM_SPECIALS}]")
     out = []
-    for start in range(0, len(seqs), chunk):
-        part = seqs[start : start + chunk]
-        inputs, _, _ = _batch_arrays(part, V, model.dtype)
-        logits = _forward_scan(model, inputs)[2]
-        logits[:, :, :NUM_SPECIALS] = -np.inf
-        # Copy the top k so each chunk's full (B, T, V) sort is freed.
-        order = np.argsort(-logits, axis=-1, kind="stable")[:, :, :k].copy()
-        for b, seq in enumerate(part):
-            out.append(order[b, : len(seq) - 1, :])
+    for part, logits in _real_logits(model, seqs, chunk):
+        # Copy the top k so each chunk's full (n, V) sort is freed.
+        order = np.argsort(-logits, axis=-1, kind="stable")[:, :k].copy()
+        out.extend(np.split(order, np.cumsum([len(s) - 1 for s in part[:-1]])))
     return out
 
 

@@ -9,6 +9,7 @@ id - 3; the first three ids are reserved for the special tokens).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -165,16 +166,11 @@ def partition_clients(corpus: list, num_clients: int, mean_shard: int, seed: int
     return shards
 
 
-def _context_distribution(seed: int, ctx: tuple, vocab_size: int) -> tuple:
-    """Support and cumulative weights of the source distribution for one
-    context. Derived from (seed, context) alone so it never depends on
+def _context_support(seed: int, ctx: tuple, vocab_size: int) -> list:
+    """Support of the source distribution for one context, most likely word
+    first. Derived from (seed, context) alone so it never depends on
     generation order."""
-    rng = rng_for(seed, "ctxdist", *ctx)
-    support_size = min(12, vocab_size)
-    support = rng.permutation(vocab_size)[:support_size]
-    weights = 0.6 ** np.arange(support_size)
-    cum = np.cumsum(weights / weights.sum())
-    return support, cum
+    return rng_for(seed, "ctxdist", *ctx).permutation(vocab_size)[: min(12, vocab_size)].tolist()
 
 
 def synthesize_corpus(source_order: int, vocab_size: int, num_sentences: int, seed: int) -> list:
@@ -190,23 +186,24 @@ def synthesize_corpus(source_order: int, vocab_size: int, num_sentences: int, se
         raise ValueError("source_order must be 2 or 3")
     if vocab_size < 10:
         raise ValueError("vocab_size must be at least 10")
+    if num_sentences < 0:
+        raise ValueError("the number of sentences must not be negative")
     stream = rng_for(seed, "sentences")
-    dist_cache = {}
+    support_size = min(12, vocab_size)
+    weights = 0.6 ** np.arange(support_size)
+    cum = np.cumsum(weights / weights.sum()).tolist()  # the same for every context
+    supports = {}
     pad = (-1,) * (source_order - 1)
     sentences = []
     for _ in range(num_sentences):
         length = int(stream.geometric(1.0 / MEAN_SENTENCE_LEN))
         ctx = pad
         words = []
-        for _ in range(length):
-            dist = dist_cache.get(ctx)
-            if dist is None:
-                dist = _context_distribution(seed, ctx, vocab_size)
-                dist_cache[ctx] = dist
-            support, cum = dist
-            u = stream.uniform()
-            idx = min(int(np.searchsorted(cum, u, side="right")), len(support) - 1)
-            word_id = int(support[idx])
+        for u in stream.uniform(size=length).tolist():  # the same doubles as one draw per word
+            support = supports.get(ctx)
+            if support is None:
+                support = supports[ctx] = _context_support(seed, ctx, vocab_size)
+            word_id = support[min(bisect_right(cum, u), support_size - 1)]
             words.append(f"w{word_id}")
             ctx = (ctx + (word_id,))[1:]
         sentences.append(" ".join(words))

@@ -10,9 +10,11 @@ appears among the k highest-probability candidates, with the conventions:
   automatic misses (the masked UNK token can never be offered);
 * the beginning-of-sentence token is never a target.
 
-Any predictor with a `topk_candidates(seqs, k)` method works: it returns,
-per sequence, the ordered candidate-id rows of every position, computed in
-one batched pass.
+Any predictor with a `target_ranks(seqs)` method works: it returns, in one
+batched pass, the rank of every target among its position's candidates (one
+int per prediction position, in sequence order). Candidates are ordered by
+descending score with ties to the lower id, as `topk_candidates` lists them,
+so a target is in the top k exactly when its rank is below k.
 """
 
 from __future__ import annotations
@@ -57,28 +59,26 @@ def write_metrics_csv(path, rows: list, include_timing: bool = False) -> None:
             )
 
 
-def multi_k_stats(predictor, data: list, ks: tuple) -> tuple:
-    """(hits per k, scored positions) in one pass.
+def stable_ranks(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Position of targets[i] in np.argsort(-scores[i], kind="stable"), for
+    every row at once: the scores above the target's plus the equal scores
+    at lower ids. NaN sorts last, so a NaN target comes after every number
+    and after the NaNs at lower ids."""
+    t = np.take_along_axis(scores, targets[:, None], axis=1)
+    t_nan, s_nan = np.isnan(t), np.isnan(scores)
+    above = (scores > t) | (t_nan & ~s_nan)
+    tied = ((scores == t) | (t_nan & s_nan)) & (np.arange(scores.shape[1]) < targets[:, None])
+    return np.count_nonzero(above | tied, axis=1)
 
-    Candidates are computed once at max(ks); a top-k list is a prefix of the
-    top-max(ks) list because rows are ordered.
-    """
-    kmax = max(ks)
-    hits = {k: 0 for k in ks}
-    positions = 0
-    for seq, cands in zip(data, predictor.topk_candidates(data, kmax)):
-        for idx in range(len(seq) - 1):
-            target = seq[idx + 1]
-            if target == BOS_ID or target == EOS_ID:
-                continue
-            positions += 1
-            if target == UNK_ID:
-                continue  # automatic miss: the unk token is masked from candidates
-            row = cands[idx]
-            for k in ks:
-                if target in row[:k]:
-                    hits[k] += 1
-    return hits, positions
+
+def multi_k_stats(predictor, data: list, ks: tuple) -> tuple:
+    """(hits per k, scored positions) in one pass: a target is a top-k hit
+    when its rank is below k."""
+    targets = np.array([t for seq in data for t in seq[1:]], dtype=np.int64)
+    ranks = predictor.target_ranks(data)
+    scored = (targets != BOS_ID) & (targets != EOS_ID)
+    known = scored & (targets != UNK_ID)  # unk is masked from candidates: an automatic miss
+    return {k: int(np.count_nonzero(known & (ranks < k))) for k in ks}, int(np.count_nonzero(scored))
 
 
 def recalls_topk(predictor, data: list, ks: tuple) -> dict:

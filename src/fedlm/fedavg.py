@@ -53,8 +53,10 @@ class FedConfig:
             raise ValueError("clients_per_round_min must not exceed max")
         if self.clients_per_round_min < 1:
             raise ValueError("clients_per_round_min must be at least 1")
-        if self.client_lr < 0:
+        if not self.client_lr >= 0:  # NaN fails these comparisons too
             raise ValueError("client_lr must be non-negative")
+        if not self.server_lr > 0:
+            raise ValueError("server_lr must be positive")
         if not 0.0 <= self.eligibility_prob <= 1.0:
             raise ValueError("eligibility_prob must be in [0, 1]")
         if self.client_batch_size < 1 or self.client_epochs < 1:

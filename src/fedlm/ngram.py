@@ -57,6 +57,28 @@ class NgramTable:
             out.append(np.stack(rows) if rows else np.zeros((0, k_eff), dtype=np.int64))
         return out
 
+    def target_ranks(self, seqs) -> np.ndarray:
+        """Rank of each target among its position's candidates, as
+        topk_candidates orders them: one int per prediction position. Each
+        distinct context is ranked once, from one shared base level."""
+        span = self.order - 1
+        by_context = {}  # context -> flat indices of its positions
+        targets = []
+        for seq in seqs:
+            for j in range(1, len(seq)):
+                by_context.setdefault(tuple(seq[max(0, j - span) : j]), []).append(len(targets))
+                targets.append(seq[j])
+        targets = np.array(targets, dtype=np.int64)
+        ranks = np.empty(len(targets), dtype=np.int64)
+        base = _base_probs(self)
+        rank_of = np.empty(self.vocab_size, dtype=np.int64)
+        for key, idx in by_context.items():
+            neg = -_backoff_from(self, key, base)
+            neg[:NUM_SPECIALS] = 1.0  # the specials' -1.0, negated
+            rank_of[np.argsort(neg, kind="stable")] = np.arange(self.vocab_size)
+            ranks[idx] = rank_of[targets[idx]]
+        return ranks
+
 
 def train_ngram(corpus: list, order: int, discount: float, vocab_size: int) -> NgramTable:
     """Accumulate continuation counts for every context length 0..order-1.
@@ -91,19 +113,33 @@ def _longest_known_suffix(context, order: int, present) -> tuple:
 def backoff_probs(table: NgramTable, context) -> np.ndarray:
     """Full next-token distribution (length V) for a context, built bottom-up
     from the uniform base through each observed suffix level."""
-    V = table.vocab_size
+    return _backoff_from(table, context, _base_probs(table))
+
+
+def _apply_level(table: NgramTable, level: dict, probs: np.ndarray) -> np.ndarray:
+    tot = sum(level.values())
+    lam = table.discount * len(level) / tot
+    q = np.zeros(table.vocab_size)
+    for w, c in level.items():
+        q[w] = max(c - table.discount, 0.0) / tot
+    return q + lam * probs
+
+
+def _base_probs(table: NgramTable) -> np.ndarray:
+    """The uniform base with the empty context's level applied, the first
+    step of every distribution (the level is missing only on an empty table)."""
+    probs = np.full(table.vocab_size, 1.0 / table.vocab_size)
+    level = table.counts.get(())
+    return probs if level is None else _apply_level(table, level, probs)
+
+
+def _backoff_from(table: NgramTable, context, base: np.ndarray) -> np.ndarray:
+    """backoff_probs from a precomputed _base_probs; every suffix of a known
+    context is known. Returns base itself for an empty suffix."""
     ctx = _longest_known_suffix(context, table.order, lambda c: c in table.counts)
-    probs = np.full(V, 1.0 / V)
-    for i in range(len(ctx), -1, -1):
-        level = table.counts.get(ctx[i:])
-        if level is None:  # only the empty context on an empty table
-            continue
-        tot = sum(level.values())
-        lam = table.discount * len(level) / tot
-        q = np.zeros(V)
-        for w, c in level.items():
-            q[w] = max(c - table.discount, 0.0) / tot
-        probs = q + lam * probs
+    probs = base
+    for i in range(len(ctx) - 1, -1, -1):
+        probs = _apply_level(table, table.counts[ctx[i:]], probs)
     return probs
 
 

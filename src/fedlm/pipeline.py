@@ -36,7 +36,9 @@ def prepare(raw: list, vocab_size: int, fractions: tuple, seed: int) -> tuple:
 def eval_shards(sentences: list, n_clients: int, seed: int) -> list:
     """Held-out sentences dealt to at most n_clients device caches of about
     equal size; no caches when there are no sentences or no clients."""
-    if not sentences or n_clients < 1:
+    if n_clients < 0:
+        raise ValueError("the number of evaluation clients must not be negative")
+    if not sentences or n_clients == 0:
         return []
     return corpus.partition_clients(sentences, min(n_clients, len(sentences)),
                                     max(1, len(sentences) // n_clients), derive_seed(seed, "eval-clients"))

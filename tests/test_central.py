@@ -167,6 +167,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CentralConfig(lr=0.0)
         with pytest.raises(ValueError):
+            CentralConfig(lr=float("nan"))
+        with pytest.raises(ValueError):
             CentralConfig(batch_size=0)
         with pytest.raises(ValueError):
             CentralConfig(max_steps=-1)

@@ -204,6 +204,23 @@ class TestTrainFederated:
         assert err.startswith("fedlm: ") and err.count("\n") == 1
         assert not os.path.exists("f.ckpt")
 
+@pytest.mark.parametrize("argv", [
+    FED + ["--server-lr", "-1"],
+    TRAIN + ["--lr", "nan"],
+    FED + ["--client-lr", "nan"],
+    FED + ["--eval-clients", "-1"],
+    ["gen", "--sentences", "-5", "-o", "x.txt"],
+], ids=["server-lr--1", "lr-nan", "client-lr-nan", "eval-clients--1", "sentences--5"])
+def test_malformed_settings_are_one_line_and_exit_2(workdir, capsys, argv):
+    run(GEN, capsys)
+    before = sorted(os.listdir())
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("fedlm: ") and err.count("\n") == 1
+    assert sorted(os.listdir()) == before
+
+
 class TestEvalAndCompare:
     def setup_run(self, capsys):
         run(GEN, capsys)

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +206,30 @@ def test_synthesize_validation():
         synthesize_corpus(4, 50, 10, seed=1)
     with pytest.raises(ValueError):
         synthesize_corpus(2, 5, 10, seed=1)
+    with pytest.raises(ValueError):
+        synthesize_corpus(2, 50, -5, seed=1)
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((2, 25, 150, 3), "5b12e2901016cfa1"),
+    ((3, 500, 2000, 20260819), "407d5f5df830bcdd"),
+    ((3, 10000, 300, 11), "4484e46e96ed7ed7"),
+    ((2, 10, 200, 1), "06341d93a5ce5749"),
+])
+def test_synthesized_text_is_pinned(args, digest):
+    text = "\n".join(synthesize_corpus(*args))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_synthesis_keeps_only_each_context_support():
+    # 10,000-word source: a context's support must not pin its whole permutation
+    tracemalloc.start()
+    try:
+        synthesize_corpus(3, 10000, 300, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_synthesized_text_is_skewed_not_uniform():

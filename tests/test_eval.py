@@ -3,8 +3,8 @@
 Scoring conventions exercised here:
   * end-of-sentence targets are skipped entirely (never scored),
   * unknown-word targets count as scored positions but can never hit,
-  * candidate lists come from the predictor's batched topk_candidates
-    method, one ordered row per position.
+  * a hit is a target whose rank among the candidates, from the
+    predictor's batched target_ranks method, is below k.
 
 The jackknife numbers in TestJackknife were computed by hand:
   clients (3 of 4) and (1 of 4): overall 4/8 = 0.5,
@@ -15,7 +15,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedlm.cifg import CifgConfig, init_model
+from fedlm.corpus import BOS_ID, EOS_ID, UNK_ID, build_vocab, synthesize_corpus, tokenize
 from fedlm.evaluate import (
     CSV_HEADER,
     CompareReport,
@@ -24,18 +28,22 @@ from fedlm.evaluate import (
     jackknife_recall,
     multi_k_stats,
     recalls_topk,
+    stable_ranks,
     write_metrics_csv,
 )
+from fedlm.ngram import train_ngram
 
 
 class ListPredictor:
-    """Always proposes the same candidate ids at every position."""
+    """Always proposes the same candidate ids, in order, at every position."""
 
     def __init__(self, ids):
         self.ids = list(ids)
 
-    def topk_candidates(self, seqs, k):
-        return [np.tile(np.array(self.ids[:k]), (len(seq) - 1, 1)) for seq in seqs]
+    def target_ranks(self, seqs):
+        absent = np.iinfo(np.int64).max  # a rank no k reaches
+        ranks = [self.ids.index(t) if t in self.ids else absent for seq in seqs for t in seq[1:]]
+        return np.array(ranks, dtype=np.int64)
 
 
 class TestRecall:
@@ -85,6 +93,65 @@ class TestRecall:
         forward = recalls_topk(pred, data, (2,))[2]
         backward = recalls_topk(pred, list(reversed(data)), (2,))[2]
         assert forward == backward
+
+
+# Ties, both zeros, both infinities and NaN, among ordinary float32 values.
+SCORES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+                   st.floats(width=32, allow_nan=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_stable_ranks_is_the_position_in_the_stable_argsort(dtype, data):
+    n, V = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9))
+    scores = np.array(data.draw(st.lists(st.lists(SCORES, min_size=V, max_size=V), min_size=n, max_size=n)),
+                      dtype=dtype)
+    targets = np.array(data.draw(st.lists(st.integers(0, V - 1), min_size=n, max_size=n)), dtype=np.int64)
+    expected = [int(np.flatnonzero(np.argsort(-row, kind="stable") == t)[0]) for row, t in zip(scores, targets)]
+    assert stable_ranks(scores, targets).tolist() == expected
+
+
+def count_from_candidates(predictor, data, ks):
+    """(hits per k, scored positions) counted from the ordered candidate rows."""
+    hits, positions = {k: 0 for k in ks}, 0
+    for seq, rows in zip(data, predictor.topk_candidates(data, max(ks))):
+        for target, row in zip(seq[1:], rows):
+            if target in (BOS_ID, EOS_ID):
+                continue
+            positions += 1
+            for k in ks:
+                hits[k] += target != UNK_ID and target in row[:k]
+    return hits, positions
+
+
+def scoring_fixture():
+    """Sequences from a 40-word source over 25 vocabulary slots (so some are
+    unk), plus length-2 sequences, and predictors fitted or drawn for them."""
+    raw = synthesize_corpus(3, 40, 300, seed=12)
+    vocab = build_vocab(raw, 25)
+    seqs = [tokenize(s, vocab) for s in raw]
+    data = seqs[200:] + [[0, 1], [0, 7], [0, UNK_ID], [0, 0]]
+    cfg = CifgConfig(V=25, D=5, H=6)
+    tied = init_model(cfg, seed=3, dtype=np.float64)
+    tied.W[:, :3] = 8.0  # the specials would win every position
+    tied.W[:, 14:] = tied.W[:, 3:14]  # words 14+i and 3+i tie at every position
+    predictors = {"tied": tied, "unigram": train_ngram(seqs[:200], 1, 0.75, 25),
+                  "trigram": train_ngram(seqs[:200], 3, 0.75, 25)}
+    for seed in (1, 2):
+        model = init_model(cfg, seed=seed)
+        model.params[...] *= 6.0
+        predictors[f"cifg{seed}-float32"], predictors[f"cifg{seed}-float64"] = model, model.astype(np.float64)
+    return data, predictors
+
+
+@pytest.mark.parametrize("name", ["cifg1-float32", "cifg1-float64", "cifg2-float32", "cifg2-float64",
+                                  "tied", "unigram", "trigram"])
+def test_hits_by_rank_equal_hits_counted_from_candidate_rows(name):
+    data, predictors = scoring_fixture()
+    predictor = predictors[name]
+    for part in (data, data[-4:], []):
+        assert multi_k_stats(predictor, part, (1, 3, 5)) == count_from_candidates(predictor, part, (1, 3, 5))
 
 
 class TestJackknife:

@@ -400,6 +400,12 @@ class TestFedConfigValidation:
         with pytest.raises(ValueError):
             FedConfig(client_lr=-0.1)
         with pytest.raises(ValueError):
+            FedConfig(client_lr=float("nan"))
+        with pytest.raises(ValueError):
+            FedConfig(server_lr=-1.0)
+        with pytest.raises(ValueError):
+            FedConfig(server_lr=float("nan"))
+        with pytest.raises(ValueError):
             FedConfig(eligibility_prob=1.5)
         with pytest.raises(ValueError):
             FedConfig(client_batch_size=0)

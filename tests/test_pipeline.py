@@ -1,6 +1,8 @@
 """The client-shard wiring in fedlm.pipeline, checked against hand-made
 partition_clients calls."""
 
+import pytest
+
 from conftest import make_sentences
 from fedlm.corpus import CorpusSplit, partition_clients
 from fedlm.nn_core import derive_seed
@@ -37,3 +39,8 @@ def test_no_eval_clients_or_no_eval_split_gives_no_eval_population():
     assert client_shards(data, 3, 5, 0, seed=1)[1] == []
     no_eval = CorpusSplit(train=data.train, test=data.test, eval=[], seed=data.seed)
     assert client_shards(no_eval, 3, 5, 4, seed=1)[1] == []
+
+
+def test_negative_eval_clients_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        eval_shards([[0, 3, 1]], -1, seed=5)
