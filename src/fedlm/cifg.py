@@ -17,6 +17,14 @@ One step, given embedded input x and previous (c_prev, r_prev):
     o = sigmoid(Wo x + Uo r_prev + bo)        h = o * tanh(c)
     r = P h                                   logits = W^T r
 
+Batches are packed, not padded: the sequences are sorted by length, longest
+first, and their positions are laid out time-major, so step t runs on the
+n_t sequences still going and the scan computes real positions only. Only
+the recurrence runs step by step. The input pre-activations (gates stacked
+to 3H), the logits, the softmax and, after the backward loop, every weight
+gradient are one product each over all N real positions (Appleyard et al.
+2016, arXiv:1604.01946). Training and scoring share this one scan.
+
 Gradients are hand-derived full backpropagation through time (sentences are
 short enough that truncation would buy nothing); `finite_diff_grad` in
 nn_core is the oracle they are tested against.
@@ -134,7 +142,7 @@ def _sigmoid(x):
 
 
 class Step(NamedTuple):
-    """Activations of one recurrent step over a batch, each (B, H) but r (B, D)."""
+    """Activations of one recurrent step over n sequences, each (n, H) but r (n, D)."""
 
     i: np.ndarray
     f: np.ndarray
@@ -146,22 +154,30 @@ class Step(NamedTuple):
     r: np.ndarray
 
 
-def input_preactivations(model: CifgModel, X: np.ndarray) -> tuple:
-    """(Wi x + bi, Wc x + bc, Wo x + bo) for embedded inputs X of shape
-    (..., D). They have no recurrent dependency, so the scan computes them
-    for every timestep at once."""
-    return X @ model.Wi.T + model.bi, X @ model.Wc.T + model.bc, X @ model.Wo.T + model.bo
+def gate_stack(model: CifgModel, kind: str) -> np.ndarray:
+    """The three gates' tensors of one kind ("W", "U" or "b") stacked in
+    gate order i, c, o: (3H, D) weights or a (3H,) bias."""
+    return np.concatenate([getattr(model, f"{kind}{g}") for g in "ico"])
 
 
-def recurrent_step(model: CifgModel, ax: tuple, c_prev: np.ndarray, r_prev: np.ndarray) -> Step:
-    """One step for a batch: ax holds this timestep's input pre-activations
-    (each (B, H)), c_prev is (B, H) and r_prev is (B, D)."""
-    ax_i, ax_c, ax_o = ax
-    i = _sigmoid(ax_i + r_prev @ model.Ui.T)
+def input_preactivations(model: CifgModel, X: np.ndarray) -> np.ndarray:
+    """Wx x + b for embedded inputs X of shape (..., D), as (..., 3H) with
+    the gates stacked i, c, o. They have no recurrent dependency, so the scan
+    computes them for every position at once."""
+    return X @ gate_stack(model, "W").T + gate_stack(model, "b")
+
+
+def recurrent_step(model: CifgModel, ax: np.ndarray, c_prev: np.ndarray, r_prev: np.ndarray, U=None) -> Step:
+    """One step for n sequences: ax holds their stacked input pre-activations
+    (n, 3H), c_prev is (n, H) and r_prev is (n, D). A caller running many
+    steps passes U = gate_stack(model, "U") once."""
+    H = model.config.H
+    a = ax + r_prev @ (gate_stack(model, "U") if U is None else U).T
+    i = _sigmoid(a[:, :H])
     f = 1.0 - i
-    ctil = np.tanh(ax_c + r_prev @ model.Uc.T)
+    ctil = np.tanh(a[:, H : 2 * H])
     c = f * c_prev + i * ctil
-    o = _sigmoid(ax_o + r_prev @ model.Uo.T)
+    o = _sigmoid(a[:, 2 * H :])
     tanh_c = np.tanh(c)
     h = o * tanh_c
     r = h @ model.P.T
@@ -169,54 +185,54 @@ def recurrent_step(model: CifgModel, ax: tuple, c_prev: np.ndarray, r_prev: np.n
 
 
 # ---------------------------------------------------------------------------
-# Batched forward / backward
+# Packed forward / backward
 
-_MIN_SEQ_LEN = 2  # BOS plus at least one prediction target
+class Packed(NamedTuple):
+    """A batch laid out so the scan computes real positions only. The
+    sequences are sorted by length, longest first (stable), and their
+    prediction positions are stored time-major: step t owns the next
+    widths[t] rows, one for each of the widths[t] longest sequences, in
+    sorted order. Row p of a step t > 0 continues row p - widths[t-1]."""
+
+    inputs: np.ndarray  # (N,) token each row consumes
+    targets: np.ndarray  # (N,) token each row predicts
+    widths: list  # sequences still running at each step, non-increasing
+    rows: np.ndarray  # (N,) the row of each position, in batch order
 
 
-def _batch_arrays(batch: list, V: int, dtype) -> tuple:
-    """Pad a batch of token sequences into (inputs, targets, mask) arrays.
-
-    Position t consumes token t and predicts token t+1; mask is 1.0 on real
-    prediction positions and 0.0 on padding (padding feeds token 0, whose
-    activations are computed and then discarded by the zero mask).
-    """
-    B = len(batch)
-    lens = [len(s) for s in batch]
-    if min(lens) < _MIN_SEQ_LEN:
+def _pack(batch: list, V: int) -> Packed:
+    lens = np.array([len(s) - 1 for s in batch])  # prediction positions: BOS needs a target
+    if lens.min() < 1:
         raise ValueError("sequences must contain at least two tokens")
-    T = max(lens) - 1
-    inputs = np.zeros((B, T), dtype=np.int64)
-    targets = np.zeros((B, T), dtype=np.int64)
-    mask = np.zeros((B, T), dtype=dtype)
-    for b, seq in enumerate(batch):
-        ids = np.asarray(seq, dtype=np.int64)
+    order = np.argsort(-lens, kind="stable")
+    tokens = np.zeros((lens[order[0]] + 1, len(batch)), dtype=np.int64)  # (T + 1, B), sorted columns
+    for j, b in enumerate(order):
+        ids = np.asarray(batch[b], dtype=np.int64)
         if ids.min() < 0 or ids.max() >= V:
             raise ValueError("token id out of range")
-        n = len(seq) - 1
-        inputs[b, :n] = ids[:-1]
-        targets[b, :n] = ids[1:]
-        mask[b, :n] = 1.0
-    return inputs, targets, mask
+        tokens[: len(ids), j] = ids
+    live = np.arange(len(tokens) - 1)[:, None] < lens[order]  # (T, B): step t of sorted sequence j is real
+    row = np.zeros(live.shape, dtype=np.int64)
+    row[live] = np.arange(lens.sum())
+    unsort = np.argsort(order)
+    return Packed(tokens[:-1][live], tokens[1:][live], live.sum(axis=1).tolist(), row.T[unsort][live.T[unsort]])
 
 
-def _forward_scan(model: CifgModel, inputs: np.ndarray) -> tuple:
-    """Run the recurrence over (B, T) token inputs. Returns the embedded
-    inputs X (B, T, D), the T recurrent Steps the backward pass reads, and
-    logits of shape (B, T, V)."""
-    B, T = inputs.shape
+def _scan(model: CifgModel, packed: Packed) -> tuple:
+    """Run the recurrence over a packed batch. Returns the embedded inputs
+    X (N, D) and one Step per timestep, step t of width widths[t]."""
     H, D = model.config.H, model.config.D
-
-    X = model.W.T[inputs.reshape(-1)].reshape(B, T, D)
+    X = model.W.T[packed.inputs]
     AX = input_preactivations(model, X)
-
-    c, r = np.zeros((B, H), dtype=model.dtype), np.zeros((B, D), dtype=model.dtype)
-    steps = []
-    for t in range(T):
-        steps.append(recurrent_step(model, [a[:, t, :] for a in AX], c, r))
+    U = gate_stack(model, "U")
+    c = np.zeros((packed.widths[0], H), dtype=model.dtype)  # state before t = 0
+    r = np.zeros((packed.widths[0], D), dtype=model.dtype)
+    steps, start = [], 0
+    for n in packed.widths:
+        steps.append(recurrent_step(model, AX[start : start + n], c[:n], r[:n], U))
         c, r = steps[-1].c, steps[-1].r
-    logits = np.stack([s.r for s in steps], axis=1) @ model.W
-    return X, steps, logits
+        start += n
+    return X, steps
 
 
 def _log_softmax_stats(logits: np.ndarray) -> tuple:
@@ -236,61 +252,66 @@ def loss_and_grads(model: CifgModel, batch: list) -> tuple:
     The loss is position-weighted (a 7-word sentence contributes 7 terms to
     the same mean as a 2-word sentence's 2), which makes duplicating the
     batch a no-op and keeps the math independent of sentence packing.
+    Only the recurrence runs step by step; the logits, the softmax and every
+    weight gradient are one product over all N real positions.
     """
     if not batch:
         raise ValueError("empty batch")
     cfg = model.config
-    dtype = model.dtype
-    inputs, targets, mask = _batch_arrays(batch, cfg.V, dtype)
-    X, steps, logits = _forward_scan(model, inputs)
-    B, T, V = logits.shape
+    H, dtype = cfg.H, model.dtype
+    packed = _pack(batch, cfg.V)
+    X, steps = _scan(model, packed)
+    R = np.concatenate([s.r for s in steps])  # (N, D)
+    N = len(R)
+    logits = R @ model.W
 
     probs, lse = _log_softmax_stats(logits)
-    gathered = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
-    n_pos = mask.sum()
-    loss = float(((lse - gathered) * mask).sum() / n_pos)
+    positions = np.arange(N)
+    loss = float((lse - logits[positions, packed.targets]).sum() / N)
 
-    coeff = mask / n_pos  # per-position weight of the mean
-    dlogits = probs  # scaled in place; each (b, t) has one target, so -= needs no ufunc.at
-    dlogits *= coeff[..., None]
-    dlogits[np.arange(B)[:, None], np.arange(T)[None, :], targets] -= coeff
+    coeff = dtype.type(1.0) / dtype.type(N)  # per-position weight of the mean
+    dlogits = probs  # scaled in place; each row has one target, so -= needs no ufunc.at
+    dlogits *= coeff
+    dlogits[positions, packed.targets] -= coeff
 
-    grads = CifgModel(cfg, np.zeros(param_count(cfg), dtype=dtype))
+    grads = CifgModel(cfg, np.empty(param_count(cfg), dtype=dtype))
     g = {n: getattr(grads, n) for n in TENSOR_ORDER}
-    dW_embed = np.zeros((V, cfg.D), dtype=dtype)  # scatter buffer, (V, D)
-    dc_carry = np.zeros((B, cfg.H), dtype=dtype)
-    dr_carry = np.zeros((B, cfg.D), dtype=dtype)
-    c0, r0 = np.zeros((B, cfg.H), dtype=dtype), np.zeros((B, cfg.D), dtype=dtype)  # state before t = 0
+    g["W"][...] = R.T @ dlogits  # output-projection path
+    dR = dlogits @ model.W.T  # gains the recurrent carry step by step
+    dA = np.empty((N, 3 * H), dtype=dtype)  # gate pre-activation gradients, gates stacked i, c, o
+    U = gate_stack(model, "U")
+    c0 = np.zeros((packed.widths[0], H), dtype=dtype)
+    dc_carry = np.zeros((0, H), dtype=dtype)
+    dr_carry = np.zeros((0, cfg.D), dtype=dtype)
 
-    for t in range(T - 1, -1, -1):
+    end = N
+    for t in range(len(steps) - 1, -1, -1):
         s = steps[t]
-        c_prev, r_prev = (steps[t - 1].c, steps[t - 1].r) if t else (c0, r0)
-        dlog = dlogits[:, t, :]
-        g["W"] += s.r.T @ dlog  # output-projection path
-        dr = dlog @ model.W.T + dr_carry
-        g["P"] += dr.T @ s.h
+        n = len(s.h)
+        c_prev = (steps[t - 1].c if t else c0)[:n]
+        dr = dR[end - n : end]
+        dr[: len(dr_carry)] += dr_carry
         dh = dr @ model.P
 
-        do = dh * s.tanh_c
-        da_o = do * s.o * (1.0 - s.o)
-        dc = dh * s.o * (1.0 - s.tanh_c ** 2) + dc_carry
+        da = dA[end - n : end]
+        da[:, 2 * H :] = dh * s.tanh_c * s.o * (1.0 - s.o)
+        dc = dh * s.o * (1.0 - s.tanh_c ** 2)
+        dc[: len(dc_carry)] += dc_carry
         # Coupled gate: i scales the candidate in and (1-i) scales the old
         # cell out, so both paths meet in one gate gradient.
-        di = dc * (s.ctil - c_prev)
-        da_i = di * s.i * (1.0 - s.i)
-        da_c = dc * s.i * (1.0 - s.ctil ** 2)
-        dc_carry = dc * (1.0 - s.i)
+        da[:, :H] = dc * (s.ctil - c_prev) * s.i * (1.0 - s.i)
+        da[:, H : 2 * H] = dc * s.i * (1.0 - s.ctil ** 2)
+        dc_carry = dc * s.f
+        dr_carry = da @ U
+        end -= n
 
-        x_t = X[:, t, :]
-        for name, da in (("i", da_i), ("c", da_c), ("o", da_o)):
-            g[f"W{name}"] += da.T @ x_t
-            g[f"U{name}"] += da.T @ r_prev
-            g[f"b{name}"] += da.sum(axis=0)
-        dr_carry = da_i @ model.Ui + da_c @ model.Uc + da_o @ model.Uo
-        dx = da_i @ model.Wi + da_c @ model.Wc + da_o @ model.Wo
-        np.add.at(dW_embed, inputs[:, t], dx)  # embedding path
-
-    g["W"] += dW_embed.T
+    R_prev = np.concatenate([np.zeros((packed.widths[0], cfg.D), dtype=dtype)]
+                            + [steps[t - 1].r[:n] for t, n in enumerate(packed.widths) if t])
+    gW, gU, gb = (np.split(a, 3) for a in (dA.T @ X, dA.T @ R_prev, dA.sum(axis=0)))
+    for k, name in enumerate("ico"):
+        g[f"W{name}"][...], g[f"U{name}"][...], g[f"b{name}"][...] = gW[k], gU[k], gb[k]
+    g["P"][...] = dR.T @ np.concatenate([s.h for s in steps])
+    np.add.at(g["W"].T, packed.inputs, dA @ gate_stack(model, "W"))  # embedding path
     return loss, grads
 
 
@@ -305,6 +326,14 @@ def _masked_topk_ids(logits_row: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+def _logits_in_batch_order(model: CifgModel, seqs: list) -> np.ndarray:
+    """Logits (N, V) of every prediction position of seqs, sequence by
+    sequence, from one packed scan."""
+    packed = _pack(seqs, model.config.V)
+    R = np.concatenate([s.r for s in _scan(model, packed)[1]])
+    return R[packed.rows] @ model.W
+
+
 def predict_topk(model: CifgModel, context: list, k: int) -> list:
     """Top-k (word id, probability) continuations of a context that begins
     with BOS. Probabilities are the plain softmax values; the special tokens
@@ -314,24 +343,22 @@ def predict_topk(model: CifgModel, context: list, k: int) -> list:
     V = model.config.V
     if not 1 <= k <= V - NUM_SPECIALS:
         raise ValueError(f"k must be in [1, {V - NUM_SPECIALS}]")
-    inputs, _, _ = _batch_arrays([list(context) + [0]], V, model.dtype)
-    logits = _forward_scan(model, inputs)[2][0, len(context) - 1]
+    logits = _logits_in_batch_order(model, [list(context) + [0]])[-1]
     probs, _ = _log_softmax_stats(logits)
     ids = _masked_topk_ids(logits, k)
     return [(int(i), float(probs[i])) for i in ids]
 
 
-_CHUNK = 256  # sentences per padded inference pass
+_CHUNK = 256  # sentences per packed inference pass
 
 
 def _real_logits(model: CifgModel, seqs: list, chunk: int):
-    """Per padded chunk of seqs, (chunk, logits of its real positions in
+    """Per chunk of seqs, (chunk, logits of its prediction positions in
     sequence order, (n, V), specials at -inf). The logits come from the
-    padded pass: a product over fewer rows can round differently."""
+    chunk's packed pass: a product over other rows can round differently."""
     for start in range(0, len(seqs), chunk):
         part = seqs[start : start + chunk]
-        inputs, _, mask = _batch_arrays(part, model.config.V, model.dtype)
-        logits = _forward_scan(model, inputs)[2][mask > 0]
+        logits = _logits_in_batch_order(model, part)
         logits[:, :NUM_SPECIALS] = -np.inf
         yield part, logits
 

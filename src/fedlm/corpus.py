@@ -114,7 +114,8 @@ def split(corpus: list, fractions: tuple, seed: int) -> CorpusSplit:
     the requested proportions within one sentence.
     """
     f_train, f_test, f_eval = fractions
-    if min(f_train, f_test, f_eval) < 0 or abs(f_train + f_test + f_eval - 1.0) > 1e-9:
+    # Written as positive tests, which NaN fails.
+    if not all(f >= 0 for f in fractions) or not abs(f_train + f_test + f_eval - 1.0) <= 1e-9:
         raise ValueError("fractions must be non-negative and sum to 1")
     n = len(corpus)
     perm = rng_for(seed, "split").permutation(n)

@@ -184,13 +184,22 @@ def aggregate(updates: list) -> np.ndarray:
     return anchor + acc
 
 
-def server_update(state: ServerState, averaged: np.ndarray) -> ServerState:
-    """One server step on the pseudo-gradient g = w_t - averaged."""
+def server_update(state: ServerState, averaged: np.ndarray, round_idx: int = None) -> ServerState:
+    """One server step on the pseudo-gradient g = w_t - averaged. Weights or
+    velocity that overflow raise FloatingPointError naming the server step
+    and the 1-based round; round_idx defaults to state.round, as when every
+    earlier round closed."""
     w = state.global_model.params
     if averaged.shape != w.shape:
         raise ValueError("averaged weights disagree with global shape")
     pseudo_grad = w - averaged
-    new_w, new_opt = nesterov_step(state.opt, pseudo_grad, w)
+    with np.errstate(all="ignore"):  # reported below, at the server
+        new_w, new_opt = nesterov_step(state.opt, pseudo_grad, w)
+    if not (np.isfinite(new_w).all() and np.isfinite(new_opt.velocity).all()):
+        round_number = (state.round if round_idx is None else round_idx) + 1
+        raise FloatingPointError(
+            f"non-finite server weights or velocity at server step {state.round + 1}, round {round_number}"
+        )
     return ServerState(
         round=state.round + 1,
         global_model=CifgModel(state.global_model.config, new_w),
@@ -269,7 +278,7 @@ def run_federated(
         if not cohort:
             continue  # round failed to close; next index retries
         updates = [client_round(state.global_model, shard, fed_config, round_idx) for shard in cohort]
-        state = server_update(state, aggregate(updates))
+        state = server_update(state, aggregate(updates), round_idx)
         examples += sum(u.n_k for u in updates) * fed_config.client_epochs
         mean_loss = float(np.mean([u.local_loss for u in updates]))
         if on_round is not None:

@@ -11,16 +11,18 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import padded_reference
 from fedlm.cifg import (
     CHECKPOINT_MAGIC,
     QUANTIZED_MAGIC,
     TENSOR_ORDER,
     CifgConfig,
-    _batch_arrays,
-    _forward_scan,
+    _pack,
+    _real_logits,
+    _scan,
     _sigmoid,
     dequantize,
     flatten,
@@ -138,21 +140,84 @@ def test_sigmoid_is_bitwise_the_sign_split_formula(dtype, shape):
 
 
 def test_batched_forward_matches_stepwise_recurrence():
-    """The scan over a padded batch gives each sequence the logits of its
-    own chain of batch-size-1 steps."""
+    """The packed scan gives each sequence the outputs of its own chain of
+    batch-size-1 steps, and lays the rows out longest sequence first."""
     cfg = CifgConfig(V=12, D=4, H=5)
     model = random_model(cfg, 31)
-    seqs = [[0, 7, 4, 11, 3, 1], [0, 9, 1], [0, 5, 5, 1]]
-    inputs, _, _ = _batch_arrays(seqs, cfg.V, model.dtype)
-    _, _, logits = _forward_scan(model, inputs)
-    assert logits.shape == (3, 5, cfg.V)
+    seqs = [[0, 9, 1], [0, 7, 4, 11, 3, 1], [0, 5, 5, 1]]
+    packed = _pack(seqs, cfg.V)
+    assert packed.widths == [3, 3, 2, 1, 1]
+    assert packed.inputs.tolist() == [0, 0, 0, 7, 5, 9, 4, 5, 11, 3]
+    assert packed.targets.tolist() == [7, 5, 9, 4, 5, 1, 11, 1, 3, 1]
+    _, steps = _scan(model, packed)
+    R = np.concatenate([s.r for s in steps])[packed.rows]
+    logits = np.split(R @ model.W, np.cumsum([len(s) - 1 for s in seqs[:-1]]))
 
     for b, seq in enumerate(seqs):
+        assert logits[b].shape == (len(seq) - 1, cfg.V)
         c, r = np.zeros(cfg.H), np.zeros(cfg.D)
         for t, token in enumerate(seq[:-1]):
             out = step_one(model, model.W[:, token], c, r)
             c, r = out.c[0], out.r[0]
-            np.testing.assert_allclose(logits[b, t], model.W.T @ r, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(logits[b][t], model.W.T @ r, rtol=0, atol=1e-12)
+
+
+REFERENCE_V = 23
+# Batches the property below always covers: one sentence, equal lengths,
+# 2-token sentences only, one long outlier among short ones, duplicates.
+EDGE_BATCHES = [
+    [[0, 5, 1]],
+    [[0, 4, 9, 1], [0, 8, 8, 1], [0, 3, 21, 1]],
+    [[0, 1], [0, 7], [0, 22]],
+    [[0, 6, 1], [0] + [3 + k % 20 for k in range(40)] + [1], [0, 4, 5, 1], [0, 9]],
+    [[0, 7, 12, 1], [0, 7, 12, 1], [0, 5, 1], [0, 7, 12, 1]],
+]
+
+token_batches = st.lists(
+    st.lists(st.integers(0, REFERENCE_V - 1), min_size=2, max_size=12), min_size=1, max_size=9
+)
+
+
+def assert_close_to_reference(got, want):
+    """Agreement to 1e-12 relative to the reference's largest magnitude (at least 1)."""
+    scale = max(1.0, float(np.abs(want).max()))
+    assert float(np.abs(np.asarray(got) - want).max()) <= 1e-12 * scale
+
+
+@given(batch=token_batches, seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+@example(batch=EDGE_BATCHES[0], seed=1)
+@example(batch=EDGE_BATCHES[1], seed=2)
+@example(batch=EDGE_BATCHES[2], seed=3)
+@example(batch=EDGE_BATCHES[3], seed=4)
+@example(batch=EDGE_BATCHES[4], seed=5)
+def test_packed_kernel_matches_padded_reference(batch, seed):
+    """Loss and every gradient tensor of the packed kernel against the
+    padded one it replaced, in float64."""
+    cfg = CifgConfig(V=REFERENCE_V, D=3, H=4)
+    model = random_model(cfg, seed)
+    loss, grads = loss_and_grads(model, batch)
+    ref_loss, ref_grads = padded_reference.loss_and_grads(model, batch)
+    assert_close_to_reference(loss, np.array(ref_loss))
+    for name in TENSOR_ORDER:
+        assert_close_to_reference(getattr(grads, name), getattr(ref_grads, name))
+
+
+@given(batch=token_batches, seed=st.integers(0, 2**16), chunk=st.integers(1, 10))
+@settings(max_examples=40, deadline=None)
+@example(batch=EDGE_BATCHES[3], seed=4, chunk=256)
+@example(batch=EDGE_BATCHES[4], seed=5, chunk=3)
+def test_scoring_logits_match_padded_reference(batch, seed, chunk):
+    """The logits target_ranks and topk_candidates rank, chunk by chunk in
+    sequence order, against the padded reference's real positions."""
+    cfg = CifgConfig(V=REFERENCE_V, D=3, H=4)
+    model = random_model(cfg, seed)
+    got = np.concatenate([logits for _, logits in _real_logits(model, batch, chunk)])
+    want = padded_reference.real_logits(model, batch)
+    specials = np.isneginf(want)
+    np.testing.assert_array_equal(np.isneginf(got), specials)
+    assert specials[:, :NUM_SPECIALS].all() and not specials[:, NUM_SPECIALS:].any()
+    assert_close_to_reference(got[~specials], want[~specials])
 
 
 # ---------------------------------------------------------------------------

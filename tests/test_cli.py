@@ -195,6 +195,14 @@ class TestTrainFederated:
         last = (workdir / "metrics.csv").read_text().splitlines()[-1].split(",")
         assert (last[1], last[2]) == ("3", "127")
 
+    @pytest.mark.filterwarnings("error")
+    def test_server_overflow_is_named_at_the_server(self, workdir, capsys):
+        # lr 1e300 overflows the first server step; the next client's loss
+        # check used to report it, after a numpy warning, as client 2's in round 2
+        argv = with_flags(FED + ["--server-lr", "1"], rounds="3", eval_clients="0")
+        err = run_diverging(argv, "--server-lr", capsys, lr="1e300")
+        assert "server step 1, round 1" in err
+
     @pytest.mark.parametrize("flag, value", [("fed_eval_every", "0"), ("rounds", "-3")])
     def test_invalid_round_settings_are_a_runtime_error(self, workdir, capsys, flag, value):
         run(GEN, capsys)
@@ -210,7 +218,8 @@ class TestTrainFederated:
     FED + ["--client-lr", "nan"],
     FED + ["--eval-clients", "-1"],
     ["gen", "--sentences", "-5", "-o", "x.txt"],
-], ids=["server-lr--1", "lr-nan", "client-lr-nan", "eval-clients--1", "sentences--5"])
+    TRAIN + ["--eval-frac", "nan"],
+], ids=["server-lr--1", "lr-nan", "client-lr-nan", "eval-clients--1", "sentences--5", "eval-frac-nan"])
 def test_malformed_settings_are_one_line_and_exit_2(workdir, capsys, argv):
     run(GEN, capsys)
     before = sorted(os.listdir())

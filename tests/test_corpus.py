@@ -139,6 +139,16 @@ def test_split_bad_fractions():
         split([1, 2], (1.2, -0.1, -0.1), seed=1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_split_rejects_non_finite_fractions(slot, bad):
+    # (0.8, 0.3, nan) used to pass both checks and split 80/20/0
+    fractions = [0.8, 0.3, 0.3]
+    fractions[slot] = bad
+    with pytest.raises(ValueError, match="non-negative and sum to 1"):
+        split(list(range(100)), tuple(fractions), seed=1)
+
+
 # --- client partitioning ----------------------------------------------------
 
 def test_partition_single_client_takes_everything():

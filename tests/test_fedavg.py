@@ -243,6 +243,16 @@ class TestServerUpdate:
         with pytest.raises(ValueError, match="shape"):
             server_update(state, np.zeros(3))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_the_server_step_and_round(self):
+        # lr 1e300 times a unit pseudo-gradient overflows the float32 weights
+        model = init_model(self.MCFG, seed=3)
+        opt = make_optimizer("nesterov", 1e300, 0.9, flatten(model).size, dtype=np.float32)
+        state = ServerState(round=0, global_model=model, opt=opt)
+        averaged = flatten(model) - np.float32(1.0)
+        with pytest.raises(FloatingPointError, match="server step 1, round 4"):
+            server_update(state, averaged, round_idx=3)
+
 
 class TestRunFederated:
     MCFG = CifgConfig(V=12, D=3, H=4)
