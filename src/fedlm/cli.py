@@ -154,10 +154,8 @@ def _load_raw_corpus(path: str) -> list:
     return corpus.load_corpus(path)
 
 
-def _prepare(cfg: RunConfig) -> tuple:
-    """(vocabulary, split) of the training corpus."""
-    fractions = (cfg.train_frac, cfg.test_frac, cfg.eval_frac)
-    return pipeline.prepare(_load_raw_corpus(cfg.corpus), cfg.vocab_size, fractions, cfg.seed)
+def _fractions(cfg: RunConfig) -> tuple:
+    return (cfg.train_frac, cfg.test_frac, cfg.eval_frac)
 
 
 def _model_config(cfg: RunConfig, V: int) -> CifgConfig:
@@ -202,7 +200,7 @@ def _save_run(cfg: RunConfig, vocab, trained, rows: list, summary: str) -> int:
 
 
 def cmd_train_server(cfg: RunConfig, args: argparse.Namespace) -> int:
-    vocab, data = _prepare(cfg)
+    vocab, data = pipeline.prepare(_load_raw_corpus(cfg.corpus), cfg.vocab_size, _fractions(cfg), cfg.seed)
     model = init_model(_model_config(cfg, vocab.V), derive_seed(cfg.seed, "central-init"))
     train_cfg = central.CentralConfig(
         lr=cfg.lr, batch_size=cfg.batch_size, max_steps=cfg.max_steps,
@@ -218,7 +216,7 @@ def cmd_train_server(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train_federated(cfg: RunConfig, args: argparse.Namespace) -> int:
-    vocab, data = _prepare(cfg)
+    vocab, data = pipeline.prepare(_load_raw_corpus(cfg.corpus), cfg.vocab_size, _fractions(cfg), cfg.seed)
     population, eval_population = pipeline.client_shards(
         data, cfg.clients, cfg.mean_shard, cfg.eval_clients, cfg.seed
     )
@@ -274,8 +272,7 @@ def _load_vocab_file(path: str):
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     vocab = _load_vocab_file(cfg.vocab)
-    raw_eval = _load_raw_corpus(args.data)
-    data = [corpus.tokenize(s, vocab) for s in raw_eval]
+    data = [corpus.tokenize(s, vocab) for s in _load_raw_corpus(args.data)]
 
     ngram_train = None
     models = []
@@ -284,8 +281,8 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
         if not token:
             continue
         if token in ("ngram", "unigram"):
-            if ngram_train is None:
-                ngram_train = _prepare(cfg)[1].train
+            if ngram_train is None:  # tokenized with --vocab, as the data is
+                ngram_train = pipeline.split_with(_load_raw_corpus(cfg.corpus), vocab, _fractions(cfg), cfg.seed).train
             order = 1 if token == "unigram" else cfg.ngram_order
             table = ngram.train_ngram(ngram_train, order, cfg.ngram_discount, vocab.V)
             models.append((token, table))
@@ -328,12 +325,13 @@ class _Parser(argparse.ArgumentParser):
 # switch storing True); a (flags, kwargs) pair gives a flag named unlike its
 # field, or not a field at all.
 _DATA = (("--data",), {"required": True, "help": "evaluation corpus file"})
-_MODEL_AND_SPLIT = ("vocab_size", "embed_dim", "hidden", "train_frac", "test_frac", "eval_frac")
+_SPLIT = ("train_frac", "test_frac", "eval_frac", "seed")
+_MODEL_AND_SPLIT = ("vocab_size", "embed_dim", "hidden", *_SPLIT)
 _OUTPUTS = ("corpus", "checkpoint", "vocab", "metrics")
 
 COMMANDS = {
     "gen": ("synthesize a corpus file", (
-        "sentences", "source_order", "source_vocab",
+        "sentences", "source_order", "source_vocab", "seed",
         (("-o", "--out"), {"dest": "corpus", "help": "output corpus path"}),
     ), cmd_gen),
     "train-server": ("centralized SGD training", (
@@ -350,13 +348,13 @@ COMMANDS = {
     "eval": ("top-k recall of a checkpoint on a corpus file", (
         "checkpoint", "vocab", _DATA,
         (("--fed-eval",), {"action": "store_true", "help": "evaluate over client shards with jackknife stderr"}),
-        "eval_clients",
+        "eval_clients", "seed",
     ), cmd_eval),
     "compare": ("side-by-side recall of checkpoints and n-gram baselines", (
-        *_MODEL_AND_SPLIT,
+        *_SPLIT,
         (("--models",), {"required": True, "help": "comma list: checkpoint paths, 'ngram', 'unigram'"}),
         _DATA,
-        (("--corpus",), {"dest": "corpus", "help": "training corpus (fits n-gram baselines)"}),
+        (("--corpus",), {"dest": "corpus", "help": "training corpus, tokenized with --vocab (fits n-gram baselines)"}),
         "vocab", "ngram_order", "ngram_discount",
         (("--out",), {"help": "also write the report as CSV"}),
     ), cmd_compare),
@@ -378,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, entries, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for entry in ((("--config",), {"help": "flat key = value config file"}), "seed", *entries):
+        for entry in ((("--config",), {"help": "flat key = value config file"}), *entries):
             flags, kwargs = _field_flag(entry) if isinstance(entry, str) else entry
             p.add_argument(*flags, **kwargs)
     return parser

@@ -36,31 +36,31 @@ class NgramTable:
     counts: dict = field(repr=False)  # context tuple -> {next_id: count}
 
     def topk_candidates(self, seqs, k):
-        """Ordered candidate ids at every prediction position of every
-        sequence, memoized per context suffix (the distribution depends on
-        nothing else)."""
+        """Ordered candidate ids at every prediction position of every sequence."""
         k_eff = min(k, self.vocab_size - NUM_SPECIALS)
-        span = self.order - 1
-        cache = {}
-        out = []
-        for seq in seqs:
-            rows = []
-            for j in range(1, len(seq)):
-                key = tuple(seq[max(0, j - span) : j])
-                ids = cache.get(key)
-                if ids is None:
-                    probs = backoff_probs(self, key)
-                    probs[:NUM_SPECIALS] = -1.0
-                    ids = np.argsort(-probs, kind="stable")[:k_eff]
-                    cache[key] = ids
-                rows.append(ids)
-            out.append(np.stack(rows) if rows else np.zeros((0, k_eff), dtype=np.int64))
-        return out
+        ranked = self._ranked_contexts(seqs)
+        flat = np.empty((len(next(ranked)), k_eff), dtype=np.int64)
+        for order, idx in ranked:
+            flat[idx] = order[:k_eff]
+        lengths = [max(len(seq) - 1, 0) for seq in seqs]
+        return np.split(flat, np.cumsum(lengths)[:-1]) if lengths else []
 
     def target_ranks(self, seqs) -> np.ndarray:
         """Rank of each target among its position's candidates, as
-        topk_candidates orders them: one int per prediction position. Each
-        distinct context is ranked once, from one shared base level."""
+        topk_candidates orders them: one int per prediction position."""
+        ranked = self._ranked_contexts(seqs)
+        targets = next(ranked)
+        ranks = np.empty(len(targets), dtype=np.int64)
+        rank_of = np.empty(self.vocab_size, dtype=np.int64)
+        for order, idx in ranked:
+            rank_of[order] = np.arange(self.vocab_size)
+            ranks[idx] = rank_of[targets[idx]]
+        return ranks
+
+    def _ranked_contexts(self, seqs):
+        """Yield the flat targets, then, per distinct context, the stable order
+        of its distribution (specials last) and the flat indices of its
+        positions: one V-long order at a time, never all of them at once."""
         span = self.order - 1
         by_context = {}  # context -> flat indices of its positions
         targets = []
@@ -68,16 +68,12 @@ class NgramTable:
             for j in range(1, len(seq)):
                 by_context.setdefault(tuple(seq[max(0, j - span) : j]), []).append(len(targets))
                 targets.append(seq[j])
-        targets = np.array(targets, dtype=np.int64)
-        ranks = np.empty(len(targets), dtype=np.int64)
+        yield np.array(targets, dtype=np.int64)
         base = _base_probs(self)
-        rank_of = np.empty(self.vocab_size, dtype=np.int64)
         for key, idx in by_context.items():
             neg = -_backoff_from(self, key, base)
-            neg[:NUM_SPECIALS] = 1.0  # the specials' -1.0, negated
-            rank_of[np.argsort(neg, kind="stable")] = np.arange(self.vocab_size)
-            ranks[idx] = rank_of[targets[idx]]
-        return ranks
+            neg[:NUM_SPECIALS] = 1.0  # after every real word in the ascending sort
+            yield np.argsort(neg, kind="stable"), idx
 
 
 def train_ngram(corpus: list, order: int, discount: float, vocab_size: int) -> NgramTable:
@@ -94,6 +90,8 @@ def train_ngram(corpus: list, order: int, discount: float, vocab_size: int) -> N
         raise ValueError("discount must be in (0, 1)")
     counts = {}
     for seq in corpus:
+        if len(seq) and not 0 <= min(seq) <= max(seq) < vocab_size:
+            raise ValueError(f"token ids must be in [0, {vocab_size})")
         for j in range(1, len(seq)):
             target = seq[j]
             for span in range(0, min(order - 1, j) + 1):

@@ -26,11 +26,14 @@ DESK_SEEDS = dict(split=101, init=5, central=33, fed=77)
 
 
 def prepare(raw: list, vocab_size: int, fractions: tuple, seed: int) -> tuple:
-    """(vocabulary, split) of raw sentences: the vocabulary is built from
-    the whole corpus, then every sentence is tokenized and the split drawn."""
+    """(vocabulary, split) of raw sentences, the vocabulary built from all of them."""
     vocab = corpus.build_vocab(raw, vocab_size)
-    tokenized = [corpus.tokenize(s, vocab) for s in raw]
-    return vocab, corpus.split(tokenized, fractions, seed)
+    return vocab, split_with(raw, vocab, fractions, seed)
+
+
+def split_with(raw: list, vocab: corpus.Vocabulary, fractions: tuple, seed: int) -> corpus.CorpusSplit:
+    """Every sentence tokenized with vocab, then the split drawn."""
+    return corpus.split([corpus.tokenize(s, vocab) for s in raw], fractions, seed)
 
 
 def eval_shards(sentences: list, n_clients: int, seed: int) -> list:

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+from fedlm import cli, corpus, evaluate, ngram
 from fedlm.cifg import (
     CHECKPOINT_MAGIC,
     QUANTIZED_MAGIC,
@@ -20,7 +21,7 @@ from fedlm.cifg import (
     load_checkpoint,
 )
 from fedlm.cli import COMMANDS, RunConfig, build_parser, main, parse_config_file, resolve_config
-from fedlm.corpus import load_corpus, load_vocab
+from fedlm.corpus import load_corpus, load_vocab, tokenize
 from fedlm.evaluate import CSV_HEADER
 from fedlm.nn_core import derive_seed
 
@@ -230,6 +231,88 @@ def test_malformed_settings_are_one_line_and_exit_2(workdir, capsys, argv):
     assert sorted(os.listdir()) == before
 
 
+KINDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+SWEEP_VALUES = {"int": ("-1", "0"), "float": ("-1", "0", "nan", "inf", "-inf")}
+
+
+def _sweep_fed():
+    argv = with_flags(FED, checkpoint="sweep.ckpt", vocab="sweep_v.txt", metrics="sweep.csv")
+    at = argv.index("--clients-per-round")  # each bound on its own, so that sweeping one takes effect
+    argv[at : at + 2] = ["--clients-per-round-min", "2", "--clients-per-round-max", "3"]
+    return argv
+
+
+# One representative run of each command on the files of sweep_dir. Outputs go to
+# sweep* paths, removed before every run, so that a file an exit 2 leaves shows.
+SWEEP_RUNS = {
+    "gen": ["gen", "--sentences", "20", "--source-vocab", "25", "--seed", "3", "-o", "sweep.txt"],
+    "train-server": with_flags(TRAIN, checkpoint="sweep.ckpt", vocab="sweep_v.txt", metrics="sweep.csv"),
+    "train-federated": _sweep_fed(),
+    "eval": ["eval", "--checkpoint", "m.ckpt", "--vocab", "v.txt", "--data", "tiny.txt",
+             "--fed-eval", "--eval-clients", "3"],
+    "compare": ["compare", "--models", "m.ckpt,ngram,unigram", "--data", "tiny.txt",
+                "--corpus", "tiny.txt", "--vocab", "v.txt", "--out", "sweep.csv"],
+    "quantize": ["quantize", "--checkpoint", "m.ckpt", "--out", "sweep.q8"],
+}
+
+
+@pytest.fixture
+def sweep_dir(workdir, capsys):
+    """tiny.txt, and m.ckpt with its v.txt of 20 ids: fewer than tiny.txt's 25 words."""
+    assert run(GEN, capsys)[0] == 0
+    assert run(with_flags(TRAIN, vocab_size="20"), capsys)[0] == 0
+    return workdir
+
+
+def _numeric_flags(entries):
+    """(flag, annotation) of every int or float flag among a command's entries."""
+    for entry in entries:
+        if isinstance(entry, str):
+            if KINDS[entry] in SWEEP_VALUES:
+                yield "--" + entry.replace("_", "-"), KINDS[entry]
+        elif entry[1].get("type") in (int, float):
+            yield entry[0][-1], entry[1]["type"].__name__
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", COMMANDS)
+def test_edge_values_of_every_numeric_flag_exit_0_or_2(sweep_dir, capsys, command):
+    # --flag=value, because argparse reads a bare -inf as a flag
+    failures = []
+    for flag, kind in _numeric_flags(COMMANDS[command][1]):
+        for value in SWEEP_VALUES[kind]:
+            for name in os.listdir():
+                if name.startswith("sweep"):
+                    os.remove(name)
+            before = sorted(os.listdir())
+            try:
+                code, out, err = run(SWEEP_RUNS[command] + [f"{flag}={value}"], capsys)
+            except Exception as exc:  # main let it through: a traceback
+                capsys.readouterr()
+                failures.append((flag, value, repr(exc)))
+                continue
+            one_line = err.startswith("fedlm: ") and err.count("\n") == 1
+            if not (code == 0 or (code == 2 and one_line and sorted(os.listdir()) == before)):
+                failures.append((flag, value, code, err))
+    assert failures == []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_settable_field_is_read(sweep_dir, capsys, monkeypatch, command):
+    reads = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            if name in KINDS:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(cli, "resolve_config", lambda args: Recording(**dataclasses.asdict(resolve_config(args))))
+    assert run(SWEEP_RUNS[command], capsys)[0] == 0
+    settable = vars(build_parser().parse_args(SWEEP_RUNS[command])).keys() & KINDS.keys()
+    assert settable - reads == set()
+
+
 class TestEvalAndCompare:
     def setup_run(self, capsys):
         run(GEN, capsys)
@@ -289,7 +372,7 @@ class TestEvalAndCompare:
         self.setup_run(capsys)
         code, out, _ = run(
             ["compare", "--models", "m.ckpt,ngram,unigram", "--data", "tiny.txt",
-             "--corpus", "tiny.txt", "--vocab", "v.txt", "--vocab-size", "40",
+             "--corpus", "tiny.txt", "--vocab", "v.txt",
              "--seed", "5", "--out", "report.csv"],
             capsys,
         )
@@ -300,6 +383,24 @@ class TestEvalAndCompare:
         csv_lines = (workdir / "report.csv").read_text().splitlines()
         assert csv_lines[0] == "model,top1,top3"
         assert len(csv_lines) == 4
+
+    def test_compare_fits_ngrams_on_the_vocab_file(self, workdir, capsys):
+        # the n-gram corpus is tokenized with --vocab alone: a shared file's vocab_size
+        # is the trainers' setting and must not move the n-gram rows
+        run(GEN, capsys)
+        assert run(with_flags(TRAIN, vocab_size="20"), capsys)[0] == 0
+        (workdir / "shared.cfg").write_text("vocab_size = 12\nseed = 5\n")
+        code, _, _ = run(
+            ["compare", "--config", "shared.cfg", "--models", "ngram,unigram", "--data", "tiny.txt",
+             "--corpus", "tiny.txt", "--vocab", "v.txt", "--out", "report.csv"],
+            capsys,
+        )
+        assert code == 0
+        vocab = load_vocab("v.txt")
+        data = [tokenize(s, vocab) for s in load_corpus("tiny.txt")]
+        train = corpus.split(data, (0.8, 0.1, 0.1), 5).train
+        tables = [(name, ngram.train_ngram(train, order, 0.75, vocab.V)) for name, order in (("ngram", 3), ("unigram", 1))]
+        assert (workdir / "report.csv").read_text() == evaluate.compare_report(tables, data, ks=(1, 3)).as_csv()
 
     def test_compare_same_checkpoint_twice_gives_identical_rows(self, workdir, capsys):
         self.setup_run(capsys)
@@ -435,7 +536,7 @@ class TestConfigResolution:
         for command, (_, entries, _) in COMMANDS.items():
             base = [command, *required.get(command, [])]
             reached |= vars(parser.parse_args(base)).keys() & kinds.keys()
-            for name in ("seed", *(entry for entry in entries if isinstance(entry, str))):
+            for name in (entry for entry in entries if isinstance(entry, str)):
                 raw = samples[kinds[name]]
                 flag = ["--" + name.replace("_", "-")] + ([] if kinds[name] == "bool" else [raw])
                 (workdir / "one.cfg").write_text(f"{name} = {raw}\n")
@@ -461,6 +562,17 @@ class TestArgumentErrors:
     def test_unknown_flag(self, capsys):
         code, _, err = run(["gen", "--warp-speed", "9"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--models", "ngram", "--data", "d.txt", "--vocab-size", "40"],
+        ["compare", "--models", "ngram", "--data", "d.txt", "--embed-dim", "6"],
+        ["compare", "--models", "ngram", "--data", "d.txt", "--hidden", "8"],
+        ["quantize", "--out", "q.q8", "--seed", "1"],
+    ], ids=["compare-vocab-size", "compare-embed-dim", "compare-hidden", "quantize-seed"])
+    def test_flags_a_command_never_reads_are_usage_errors(self, capsys, argv):
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("fedlm: unrecognized arguments: ")
 
     def test_no_command(self, capsys):
         assert run([], capsys)[0] == 1

@@ -176,11 +176,18 @@ class TestPredictionInterface:
             with pytest.raises(ValueError):
                 train_ngram(HAND_CORPUS, order=2, discount=bad, vocab_size=HAND_V)
 
+    @pytest.mark.parametrize("corpus", [[[0, 5, -2, 1], [0, 5, 1]], [[0, 12, 1]]], ids=["negative", "past-V"])
+    def test_token_ids_outside_the_vocabulary_are_rejected(self, corpus):
+        # -2 used to be counted as id 7; 12 fitted, then failed at scoring
+        with pytest.raises(ValueError, match=r"token ids must be in \[0, 9\)"):
+            train_ngram(corpus, order=2, discount=0.75, vocab_size=9)
+
     def test_batched_candidates_agree_with_single_context_calls(self):
         corpus = random_corpus(21, n_sentences=12)
         table = train_ngram(corpus, order=3, discount=0.75, vocab_size=9)
-        seqs = corpus[:5]
+        seqs = corpus[:5] + [[0]]
         rows = table.topk_candidates(seqs, k=4)
+        assert len(rows) == len(seqs) and table.topk_candidates([], k=4) == []
         for seq, row in zip(seqs, rows):
             assert row.shape == (len(seq) - 1, 4)
             for j in range(1, len(seq)):
